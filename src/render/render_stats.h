@@ -46,7 +46,6 @@ struct StandardFlowStats
     std::int64_t rendered_gaussians = 0; ///< contributed >=1 pixel
     std::int64_t alpha_evals = 0;   ///< per-pixel alpha evaluations
     std::int64_t blend_ops = 0;     ///< blended (passing, live) pixels
-    std::int64_t pixels_touched = 0; ///< alpha evals (Table 1 metric)
 
     /**
      * (Gaussian, subtile) array passes: the VRU rasterizes an 8x8

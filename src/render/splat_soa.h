@@ -21,8 +21,8 @@
  *
  * The tile-coverage helpers (tileRangeFor / obbOverlapsTile) are the
  * single source of truth for which tiles a splat binds to; the
- * renderer's binning passes and TileRenderer::tilesPerSplat share
- * them.
+ * renderer's cover stage (which TileRenderer::tilesPerSplat also
+ * reads) and the reference renderer share them.
  */
 
 #ifndef GCC3D_RENDER_SPLAT_SOA_H

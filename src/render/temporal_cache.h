@@ -11,14 +11,18 @@
  * it — in three independently-gated tiers:
  *
  *  1. Incremental CSR binning: the SoA splat store, per-splat
- *     emitted-tile lists and per-tile sorted key-value lists persist
- *     across frames.  A new camera re-projects all splats (cheap,
- *     ~4% of a frame), then per-splat diffs of the blend record,
- *     depth key and tile coverage patch only the changed CSR rows
- *     and re-sort only tiles whose key order actually changed.
+ *     coverage CSR and per-tile sorted key-value lists persist
+ *     across frames.  A new camera re-runs render()'s prepare and
+ *     cover stages (cheap, ~4% of a frame); instead of the bin
+ *     stage, per-splat diffs of the blend record, depth key and tile
+ *     coverage patch only the changed per-tile lists and re-sort
+ *     only tiles whose key order actually changed.  A full rebuild
+ *     runs render()'s whole stage sequence and keeps the lists it
+ *     sorted.
  *  2. Dirty-tile output reuse: a tile whose member list, depth order
  *     and members' blend inputs are all bit-unchanged keeps last
- *     frame's composited pixels; only dirty tiles re-rasterize.
+ *     frame's composited pixels; only dirty tiles go through the
+ *     shared raster stage.
  *     Exact-mode guarantee: the output image is bit-identical to a
  *     cold render of the same (cloud, camera, config) — the existing
  *     renderReference/equivalence machinery is the oracle
@@ -138,7 +142,6 @@ class TemporalCache
         counters_ = TemporalCounters{};
         soa_ = SplatSoA{};
         ids_.clear();
-        depths_.clear();
         cov_offsets_.clear();
         cov_tiles_.clear();
         tile_entries_.clear();
@@ -168,7 +171,6 @@ class TemporalCache
     // ---- Tier 1: persisted binning state (previous exact frame). ----
     SplatSoA soa_;                            ///< previous SoA store
     std::vector<std::uint32_t> ids_;          ///< per-si source splat ids
-    std::vector<float> depths_;               ///< per-si view depth
     std::vector<std::uint32_t> cov_offsets_;  ///< per-splat coverage CSR
     std::vector<std::uint32_t> cov_tiles_;    ///< emitted tiles, ascending
     /** Per-tile packed (key, si) lists, ascending uint64 == cold order. */

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
+#include <span>
 
 #include "gsmath/simd.h"
 #include "gsmath/sort_keys.h"
@@ -100,13 +102,13 @@ struct TileScratch
 };
 
 /**
- * Rasterize one tile from its depth-sorted entry list — the shared
- * kernel of render() and renderTemporal(), so a dirty tile re-blended
- * by the temporal path is bit-identical to the cold render of the
- * same list.  The tile's pixels in @p image must be zero on entry
- * (cold frames start from a zeroed image; the temporal path clears a
- * dirty tile's block before calling).  Writes stay inside the tile's
- * pixel region, so disjoint tiles rasterize concurrently.
+ * Rasterize one tile from its depth-sorted entry list — the kernel of
+ * the raster stage, so a dirty tile re-blended by an incremental
+ * frame is bit-identical to the cold render of the same list.  The
+ * tile's pixels in @p image must be zero on entry (cold frames start
+ * from a zeroed image; incremental frames clear a dirty tile's block
+ * before calling).  Writes stay inside the tile's pixel region, so
+ * disjoint tiles rasterize concurrently.
  *
  * When @p depth_out is non-null (with @p splat_depth supplying the
  * per-slot view depths), the kernel also records a per-pixel surface
@@ -180,7 +182,6 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
         // skipped evaluations are accounted from the live count
         // (identical totals, less work).
         st.alpha_evals += live;
-        st.pixels_touched += live;
         const int rx0 = std::max(x0, b.it_x0);
         const int rx1 = std::min(x1 - 1, b.it_x1);
         const int ry0 = std::max(y0, b.it_y0);
@@ -279,6 +280,257 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
     }
 }
 
+// ---- Frame stages (tile_renderer.h names who runs which). ----
+
+/** Tile grid of one frame's viewport. */
+struct TileGrid
+{
+    TileGrid(const Camera &cam, int tile_size)
+        : width(cam.width()), height(cam.height()), tile(tile_size),
+          tiles_x((width + tile - 1) / tile),
+          num_tiles(static_cast<std::size_t>(tiles_x) *
+                    static_cast<std::size_t>((height + tile - 1) / tile))
+    {
+    }
+
+    int width, height, tile, tiles_x;
+    std::size_t num_tiles;
+};
+
+/** Stage prepare: preprocess every Gaussian (decoupled) into
+ *  @p splats and pack them into the SoA store. */
+SplatSoA
+prepare(const TileRendererConfig &config, const GaussianCloud &cloud,
+        const Camera &cam, const TileGrid &grid, StandardFlowStats &stats,
+        ThreadPool *pool, std::vector<Splat> &splats)
+{
+    splats = preprocessAll(cloud, cam, stats.pre, pool);
+    return SplatSoA::build(splats, config.bounding, grid.tile,
+                           config.alpha_cutoff, grid.width, grid.height);
+}
+
+/** Per-splat tile coverage: splat si binds to the tiles
+ *  tiles[offsets[si] .. offsets[si + 1]), ascending in tile index. */
+struct Coverage
+{
+    std::vector<std::uint32_t> offsets;
+    std::vector<std::uint32_t> tiles;
+};
+
+/**
+ * Stage cover: walk each splat's tile range once, dropping the tiles
+ * the Obb3Sigma refinement rules out.  This is the only coverage
+ * walk of the fast paths; the reference renderer keeps its own.
+ */
+Coverage
+cover(const SplatSoA &soa, const TileGrid &grid)
+{
+    const int tile = grid.tile;
+    const std::size_t n = soa.size();
+    Coverage cov;
+    cov.offsets.assign(n + 1, 0);
+    cov.tiles.reserve(n);
+    for (std::size_t si = 0; si < n; ++si) {
+        const TileRange &r = soa.range[si];
+        for (int by = r.by0; by <= r.by1; ++by) {
+            for (int bx = r.bx0; bx <= r.bx1; ++bx) {
+                if (soa.obb_refine) {
+                    float tx0 = static_cast<float>(bx * tile);
+                    float ty0 = static_cast<float>(by * tile);
+                    if (!obbOverlapsTile(soa.obb[si], tx0, ty0,
+                                         tx0 + tile, ty0 + tile))
+                        continue;
+                }
+                cov.tiles.push_back(
+                    static_cast<std::uint32_t>(by) * grid.tiles_x + bx);
+            }
+        }
+        cov.offsets[si + 1] = static_cast<std::uint32_t>(cov.tiles.size());
+    }
+    return cov;
+}
+
+/** Per-tile packed (depth key, si) lists: tile t owns
+ *  entries[offsets[t] .. offsets[t + 1]). */
+struct TileBins
+{
+    std::vector<std::size_t> offsets;
+    std::vector<std::uint64_t> entries;
+
+    std::span<std::uint64_t>
+    slice(std::size_t t)
+    {
+        return {entries.data() + offsets[t], offsets[t + 1] - offsets[t]};
+    }
+};
+
+/**
+ * Stage bin: counting scatter of the coverage CSR into one flat
+ * entries array at per-tile offsets.  Splats scatter in slot order,
+ * so every tile's list keeps the splat-order tie-break the stable
+ * depth sort relies on.
+ */
+TileBins
+bin(const SplatSoA &soa, const Coverage &cov, std::size_t num_tiles)
+{
+    TileBins bins;
+    bins.offsets.assign(num_tiles + 1, 0);
+    for (std::uint32_t t : cov.tiles)
+        ++bins.offsets[t + 1];
+    for (std::size_t t = 0; t < num_tiles; ++t)
+        bins.offsets[t + 1] += bins.offsets[t];
+    bins.entries.resize(cov.tiles.size());
+    std::vector<std::size_t> cursor(bins.offsets.begin(),
+                                    bins.offsets.end() - 1);
+    for (std::size_t si = 0; si < soa.size(); ++si) {
+        const std::uint64_t kv = packKeyValue(
+            soa.depth_key[si], static_cast<std::uint32_t>(si));
+        for (std::uint32_t c = cov.offsets[si]; c < cov.offsets[si + 1];
+             ++c)
+            bins.entries[cursor[cov.tiles[c]]++] = kv;
+    }
+    return bins;
+}
+
+/** Every tile index of @p grid in scanline order. */
+std::vector<std::uint32_t>
+allTiles(const TileGrid &grid)
+{
+    std::vector<std::uint32_t> tiles(grid.num_tiles);
+    std::iota(tiles.begin(), tiles.end(), 0u);
+    return tiles;
+}
+
+/** What the raster stage may assume about its tiles. */
+enum class RasterMode
+{
+    /** The target image (and depth buffer) is zeroed and every list
+     *  is in splat order: each list is depth-sorted in its chunk. */
+    Cold,
+    /** Every list is already depth-sorted and the target holds last
+     *  frame's pixels: each listed tile's pixel and depth block is
+     *  cleared first, including tiles whose list is now empty. */
+    Incremental,
+};
+
+/**
+ * Stage raster: render the tiles in @p tiles, whose lists
+ * @p entries_of(t) returns as a std::span<std::uint64_t>.  Tiles own
+ * disjoint pixel regions and disjoint lists, so contiguous chunks of
+ * the tile sequence fan out over the pool; per-chunk counters merge
+ * in chunk order and the unique-splat populations (fetched /
+ * rendered) come from OR-merged per-chunk maps, making image and
+ * stats bit-identical to the serial sweep.  @p splat_depth and
+ * @p depth_out enable rasterOneTile's depth capture.
+ */
+template <typename EntriesOf>
+void
+raster(const TileRendererConfig &config, const SplatSoA &soa,
+       const TileGrid &grid, const std::vector<std::uint32_t> &tiles,
+       EntriesOf &&entries_of, RasterMode mode, Image &image,
+       StandardFlowStats &stats, ThreadPool *pool,
+       const float *splat_depth = nullptr, float *depth_out = nullptr)
+{
+    const int tile = grid.tile;
+
+    // Unique-splat membership is tracked per chunk in word bitmaps
+    // (n/8 bytes instead of n), so per-chunk memory and the OR-merge
+    // stay cheap even for paper-scale splat counts at high worker
+    // counts.
+    const std::size_t map_words = (soa.size() + 63) / 64;
+    struct TileChunkOut
+    {
+        StandardFlowStats stats;  ///< raster counters only
+        std::vector<std::uint64_t> contributed;
+        std::vector<std::uint64_t> fetched;
+    };
+
+    // More chunks than workers smooths the load imbalance between
+    // crowded and empty tiles; chunk boundaries stay deterministic.
+    // The pixel-derived grain keeps every chunk heavy enough to
+    // amortize dispatch — a frame smaller than two grains runs
+    // inline on the caller thread.
+    const bool fan_out = pool != nullptr && pool->workerCount() >= 2;
+    const std::size_t grain_tiles = std::max<std::size_t>(
+        1, kMinPixelsPerRasterChunk /
+               (static_cast<std::size_t>(tile) * tile));
+    auto ranges = chunkRanges(
+        tiles.size(), fan_out ? pool->workerCount() * 4 : 1, grain_tiles);
+    std::vector<TileChunkOut> chunk_out(ranges.size());
+
+    auto raster_chunk = [&](std::size_t c, std::size_t begin,
+                            std::size_t end) {
+        TileChunkOut &out = chunk_out[c];
+        out.contributed.assign(map_words, 0);
+        out.fetched.assign(map_words, 0);
+        StandardFlowStats &st = out.stats;
+        std::vector<std::uint64_t> sort_scratch;
+        TileScratch scratch;
+
+        for (std::size_t i = begin; i < end; ++i) {
+            const std::uint32_t t_idx = tiles[i];
+            const int bx = static_cast<int>(t_idx % grid.tiles_x);
+            const int by = static_cast<int>(t_idx / grid.tiles_x);
+            if (mode == RasterMode::Incremental) {
+                const int x0 = bx * tile;
+                const int y0 = by * tile;
+                const int x1 = std::min(x0 + tile, grid.width);
+                const int y1 = std::min(y0 + tile, grid.height);
+                for (int y = y0; y < y1; ++y) {
+                    const std::size_t row =
+                        static_cast<std::size_t>(y) * grid.width + x0;
+                    std::fill_n(image.pixels().data() + row, x1 - x0,
+                                Vec3(0, 0, 0));
+                    if (depth_out != nullptr)
+                        std::fill_n(depth_out + row, x1 - x0, 0.0f);
+                }
+            }
+            const std::span<std::uint64_t> list = entries_of(t_idx);
+            if (list.empty())
+                continue;
+
+            if (mode == RasterMode::Cold) {
+                // Per-tile depth sort (radix sort on the GPU, bitonic
+                // network in GSCore): stable LSD radix on the monotone
+                // depth keys reproduces stable_sort's order exactly.
+                radixSortByKey(list.data(), list.size(), sort_scratch);
+                st.sorted_keys += static_cast<std::int64_t>(list.size());
+                st.sort_pass_keys += bitonicPassKeys(list.size());
+            }
+
+            rasterOneTile(config, soa, list.data(), list.size(), bx, by,
+                          grid.width, grid.height, image, st,
+                          out.contributed.data(), out.fetched.data(),
+                          scratch, splat_depth, depth_out);
+        }
+    };
+
+    runChunks(fan_out ? pool : nullptr, ranges, raster_chunk);
+
+    // Chunk-ordered merge; fetched/rendered are unique populations
+    // over the rastered tiles, so they are counted from the OR of the
+    // per-chunk maps (a splat fetched by tiles in two chunks is still
+    // one fetched Gaussian, exactly as the serial first-touch count).
+    std::vector<std::uint64_t> contributed_any(map_words, 0);
+    std::vector<std::uint64_t> fetched_any(map_words, 0);
+    for (const TileChunkOut &out : chunk_out) {
+        stats.tile_fetches += out.stats.tile_fetches;
+        stats.sorted_keys += out.stats.sorted_keys;
+        stats.sort_pass_keys += out.stats.sort_pass_keys;
+        stats.subtile_passes += out.stats.subtile_passes;
+        stats.alpha_evals += out.stats.alpha_evals;
+        stats.blend_ops += out.stats.blend_ops;
+        for (std::size_t w = 0; w < map_words; ++w) {
+            contributed_any[w] |= out.contributed[w];
+            fetched_any[w] |= out.fetched[w];
+        }
+    }
+    for (std::size_t w = 0; w < map_words; ++w) {
+        stats.fetched_gaussians += std::popcount(fetched_any[w]);
+        stats.rendered_gaussians += std::popcount(contributed_any[w]);
+    }
+}
+
 /**
  * Synthesize a frame at @p dst_cam by backward-warping the exact
  * frame rendered at @p src_cam (tier 3 of the temporal engine).
@@ -351,29 +603,15 @@ std::vector<int>
 TileRenderer::tilesPerSplat(const std::vector<Splat> &splats,
                             const Camera &cam) const
 {
-    std::vector<int> counts;
-    counts.reserve(splats.size());
-    for (const Splat &s : splats) {
-        TileRange r = tileRangeFor(s, config_.bounding, config_.tile_size,
-                                   cam.width(), cam.height());
-        if (config_.bounding == BoundingMode::Obb3Sigma && !r.empty()) {
-            ObbParams o = obbParamsFor(s);
-            int n = 0;
-            for (int by = r.by0; by <= r.by1; ++by) {
-                for (int bx = r.bx0; bx <= r.bx1; ++bx) {
-                    float tx0 = static_cast<float>(bx * config_.tile_size);
-                    float ty0 = static_cast<float>(by * config_.tile_size);
-                    if (obbOverlapsTile(o, tx0, ty0,
-                                        tx0 + config_.tile_size,
-                                        ty0 + config_.tile_size))
-                        ++n;
-                }
-            }
-            counts.push_back(n);
-        } else {
-            counts.push_back(r.count());
-        }
-    }
+    const TileGrid grid(cam, config_.tile_size);
+    const Coverage cov =
+        cover(SplatSoA::build(splats, config_.bounding, grid.tile,
+                              config_.alpha_cutoff, grid.width,
+                              grid.height),
+              grid);
+    std::vector<int> counts(splats.size());
+    for (std::size_t si = 0; si < counts.size(); ++si)
+        counts[si] = static_cast<int>(cov.offsets[si + 1] - cov.offsets[si]);
     return counts;
 }
 
@@ -381,162 +619,21 @@ Image
 TileRenderer::render(const GaussianCloud &cloud, const Camera &cam,
                      StandardFlowStats &stats, ThreadPool *pool) const
 {
-    const int width = cam.width();
-    const int height = cam.height();
-    const int tile = config_.tile_size;
-    const int tiles_x = (width + tile - 1) / tile;
-    const int tiles_y = (height + tile - 1) / tile;
-    const std::size_t num_tiles =
-        static_cast<std::size_t>(tiles_x) * tiles_y;
-
-    // ---- Stage 1: preprocess every Gaussian (decoupled). ----
+    const TileGrid grid(cam, config_.tile_size);
     obs::StageTimer stage_timer;
-    std::vector<Splat> splats = preprocessAll(cloud, cam, stats.pre, pool);
-    SplatSoA soa = SplatSoA::build(splats, config_.bounding, tile,
-                                   config_.alpha_cutoff, width, height);
-    const std::size_t n = soa.size();
+    std::vector<Splat> splats;
+    const SplatSoA soa =
+        prepare(config_, cloud, cam, grid, stats, pool, splats);
     stage_timer.lap(obs::Stage::Preprocess, &stats.stage.preprocess_ms);
 
-    // ---- Tile binning: CSR built in two passes over a flat pair
-    // list.  Pass 1 walks each splat's coverage exactly once (the
-    // OBB refinement test is not repeated) and emits (tile, packed
-    // key-value) pairs in splat order while counting per-tile
-    // populations; pass 2 scatters the pairs into one contiguous
-    // entries array at per-tile offsets.  The scatter preserves the
-    // splat-order tie-break within every tile. ----
-    std::vector<std::uint32_t> pair_tile;
-    std::vector<std::uint64_t> pair_kv;
-    std::vector<std::size_t> offsets(num_tiles + 1, 0);
-    for (std::size_t si = 0; si < n; ++si) {
-        const TileRange &r = soa.range[si];
-        const std::uint64_t kv = packKeyValue(
-            soa.depth_key[si], static_cast<std::uint32_t>(si));
-        for (int by = r.by0; by <= r.by1; ++by) {
-            for (int bx = r.bx0; bx <= r.bx1; ++bx) {
-                if (soa.obb_refine) {
-                    float tx0 = static_cast<float>(bx * tile);
-                    float ty0 = static_cast<float>(by * tile);
-                    if (!obbOverlapsTile(soa.obb[si], tx0, ty0,
-                                         tx0 + tile, ty0 + tile))
-                        continue;
-                }
-                const std::uint32_t t_idx =
-                    static_cast<std::uint32_t>(by) * tiles_x + bx;
-                pair_tile.push_back(t_idx);
-                pair_kv.push_back(kv);
-                ++offsets[t_idx + 1];
-            }
-        }
-    }
-    for (std::size_t t = 0; t < num_tiles; ++t)
-        offsets[t + 1] += offsets[t];
-    const std::size_t kv_total = offsets[num_tiles];
-    stats.kv_pairs += static_cast<std::int64_t>(kv_total);
-
-    std::vector<std::uint64_t> entries(kv_total);
-    {
-        std::vector<std::size_t> cursor(offsets.begin(),
-                                        offsets.end() - 1);
-        for (std::size_t i = 0; i < kv_total; ++i)
-            entries[cursor[pair_tile[i]]++] = pair_kv[i];
-        pair_tile.clear();
-        pair_tile.shrink_to_fit();
-        pair_kv.clear();
-        pair_kv.shrink_to_fit();
-    }
+    TileBins bins = bin(soa, cover(soa, grid), grid.num_tiles);
+    stats.kv_pairs += static_cast<std::int64_t>(bins.entries.size());
     stage_timer.lap(obs::Stage::Binning, &stats.stage.binning_ms);
 
-    // ---- Stage 2: render tile by tile in scanline order.  Tiles own
-    // disjoint pixel regions and disjoint CSR slices, so contiguous
-    // chunks of the tile sequence fan out over the pool; per-chunk
-    // counters merge in chunk order and the unique-splat populations
-    // (fetched / rendered) come from OR-merged per-chunk maps, making
-    // image and stats bit-identical to the serial sweep. ----
-    Image image(width, height);
-
-    // Unique-splat membership is tracked per chunk in word bitmaps
-    // (n/8 bytes instead of n), so per-chunk memory and the OR-merge
-    // stay cheap even for paper-scale splat counts at high worker
-    // counts.
-    const std::size_t map_words = (n + 63) / 64;
-    struct TileChunkOut
-    {
-        StandardFlowStats stats;  ///< stage-2 counters only
-        std::vector<std::uint64_t> contributed;
-        std::vector<std::uint64_t> fetched;
-    };
-
-    // More chunks than workers smooths the load imbalance between
-    // crowded and empty tiles; chunk boundaries stay deterministic.
-    // The pixel-derived grain keeps every chunk heavy enough to
-    // amortize dispatch — a frame smaller than two grains runs
-    // inline on the caller thread.
-    const bool fan_out = pool != nullptr && pool->workerCount() >= 2;
-    const std::size_t grain_tiles = std::max<std::size_t>(
-        1, kMinPixelsPerRasterChunk /
-               (static_cast<std::size_t>(tile) * tile));
-    auto tile_ranges = chunkRanges(
-        num_tiles, fan_out ? pool->workerCount() * 4 : 1, grain_tiles);
-    std::vector<TileChunkOut> chunk_out(tile_ranges.size());
-
-    auto render_tiles = [&](std::size_t c, std::size_t t_begin,
-                            std::size_t t_end) {
-        TileChunkOut &out = chunk_out[c];
-        out.contributed.assign(map_words, 0);
-        out.fetched.assign(map_words, 0);
-        StandardFlowStats &st = out.stats;
-        std::vector<std::uint64_t> sort_scratch;
-        TileScratch scratch;
-
-        for (std::size_t t_idx = t_begin; t_idx < t_end; ++t_idx) {
-            const int bx = static_cast<int>(t_idx % tiles_x);
-            const int by = static_cast<int>(t_idx / tiles_x);
-            const std::size_t begin = offsets[t_idx];
-            const std::size_t end = offsets[t_idx + 1];
-            if (begin == end)
-                continue;
-            const std::size_t list_len = end - begin;
-
-            // Per-tile depth sort (radix sort on the GPU, bitonic
-            // network in GSCore): stable LSD radix on the monotone
-            // depth keys reproduces stable_sort's order exactly.
-            radixSortByKey(entries.data() + begin, list_len,
-                           sort_scratch);
-            st.sorted_keys += static_cast<std::int64_t>(list_len);
-            st.sort_pass_keys += bitonicPassKeys(list_len);
-
-            rasterOneTile(config_, soa, entries.data() + begin,
-                          list_len, bx, by, width, height, image, st,
-                          out.contributed.data(), out.fetched.data(),
-                          scratch);
-        }
-    };
-
-    runChunks(fan_out ? pool : nullptr, tile_ranges, render_tiles);
-
-    // Chunk-ordered merge; fetched/rendered are unique populations
-    // over the whole frame, so they are counted from the OR of the
-    // per-chunk maps (a splat fetched by tiles in two chunks is still
-    // one fetched Gaussian, exactly as the serial first-touch count).
-    std::vector<std::uint64_t> contributed_any(map_words, 0);
-    std::vector<std::uint64_t> fetched_any(map_words, 0);
-    for (const TileChunkOut &out : chunk_out) {
-        stats.tile_fetches += out.stats.tile_fetches;
-        stats.sorted_keys += out.stats.sorted_keys;
-        stats.sort_pass_keys += out.stats.sort_pass_keys;
-        stats.subtile_passes += out.stats.subtile_passes;
-        stats.alpha_evals += out.stats.alpha_evals;
-        stats.pixels_touched += out.stats.pixels_touched;
-        stats.blend_ops += out.stats.blend_ops;
-        for (std::size_t w = 0; w < map_words; ++w) {
-            contributed_any[w] |= out.contributed[w];
-            fetched_any[w] |= out.fetched[w];
-        }
-    }
-    for (std::size_t w = 0; w < map_words; ++w) {
-        stats.fetched_gaussians += std::popcount(fetched_any[w]);
-        stats.rendered_gaussians += std::popcount(contributed_any[w]);
-    }
+    Image image(grid.width, grid.height);
+    raster(config_, soa, grid, allTiles(grid),
+           [&](std::uint32_t t) { return bins.slice(t); },
+           RasterMode::Cold, image, stats, pool);
     stage_timer.lap(obs::Stage::Raster, &stats.stage.raster_ms);
     return image;
 }
@@ -549,13 +646,8 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
                              ThreadPool *pool,
                              bool force_warp) const
 {
-    const int width = cam.width();
-    const int height = cam.height();
-    const int tile = config_.tile_size;
-    const int tiles_x = (width + tile - 1) / tile;
-    const int tiles_y = (height + tile - 1) / tile;
-    const std::size_t num_tiles =
-        static_cast<std::size_t>(tiles_x) * tiles_y;
+    const TileGrid grid(cam, config_.tile_size);
+    const std::size_t num_tiles = grid.num_tiles;
     TemporalCounters &tc = cache.counters_;
     TemporalCounterMirror tc_mirror(tc);
     ++tc.frames;
@@ -563,8 +655,8 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
     // ---- Snapshot check: any change of viewport, renderer config or
     // scene population invalidates every cached tier. ----
     if (cache.valid_ &&
-        (cache.width_ != width || cache.height_ != height ||
-         cache.tile_size_ != tile ||
+        (cache.width_ != grid.width || cache.height_ != grid.height ||
+         cache.tile_size_ != grid.tile ||
          cache.bounding_ != config_.bounding ||
          cache.termination_t_ != config_.termination_t ||
          cache.alpha_cutoff_ != config_.alpha_cutoff ||
@@ -622,11 +714,12 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
         // which also resets the warp cadence.
     }
 
-    // ---- Exact frame: preprocess + SoA (identical to render()). ----
+    // ---- Exact frame: the same prepare and cover stages as
+    // render(); the coverage CSR is kept per splat so next frame can
+    // diff row by row. ----
     obs::StageTimer stage_timer;
-    std::vector<Splat> splats = preprocessAll(cloud, cam, stats.pre, pool);
-    SplatSoA soa = SplatSoA::build(splats, config_.bounding, tile,
-                                   config_.alpha_cutoff, width, height);
+    std::vector<Splat> splats;
+    SplatSoA soa = prepare(config_, cloud, cam, grid, stats, pool, splats);
     const std::size_t n = soa.size();
     std::vector<std::uint32_t> ids(n);
     std::vector<float> depths(n);
@@ -636,34 +729,10 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
     }
     stage_timer.lap(obs::Stage::Preprocess, &stats.stage.preprocess_ms);
 
-    // ---- Per-splat coverage lists (the CSR row inputs): the same
-    // walk render()'s pair emission does, kept per splat so next
-    // frame can diff row by row. ----
-    std::vector<std::uint32_t> cov_offsets(n + 1, 0);
-    std::vector<std::uint32_t> cov_tiles;
-    cov_tiles.reserve(cache.cov_tiles_.size());
-    for (std::size_t si = 0; si < n; ++si) {
-        const TileRange &r = soa.range[si];
-        for (int by = r.by0; by <= r.by1; ++by) {
-            for (int bx = r.bx0; bx <= r.bx1; ++bx) {
-                if (soa.obb_refine) {
-                    float tx0 = static_cast<float>(bx * tile);
-                    float ty0 = static_cast<float>(by * tile);
-                    if (!obbOverlapsTile(soa.obb[si], tx0, ty0,
-                                         tx0 + tile, ty0 + tile))
-                        continue;
-                }
-                cov_tiles.push_back(
-                    static_cast<std::uint32_t>(by) * tiles_x + bx);
-            }
-        }
-        cov_offsets[si + 1] =
-            static_cast<std::uint32_t>(cov_tiles.size());
-    }
-    stats.kv_pairs += static_cast<std::int64_t>(cov_tiles.size());
+    Coverage cov = cover(soa, grid);
+    stats.kv_pairs += static_cast<std::int64_t>(cov.tiles.size());
 
     ++tc.exact_frames;
-    std::vector<std::uint32_t> dirty_tiles;
 
     // Warp mode additionally maintains the per-pixel depth buffer the
     // reprojection samples; clean tiles keep last frame's depths, so
@@ -677,34 +746,17 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
     // inside the temporal path.
     const bool incremental = cache.valid_ && cache.ids_ == ids &&
                              (!want_depth || cache.depth_valid_);
+    TileBins bins;
+    std::vector<std::uint32_t> dirty_tiles;
     if (!incremental) {
-        // ---- Cold path: rebuild every per-tile list. ----
+        // ---- Full rebuild: render()'s bin stage, into a zeroed
+        // image. ----
         ++tc.full_rebuilds;
-        cache.tile_entries_.assign(num_tiles, {});
-        for (std::size_t si = 0; si < n; ++si) {
-            const std::uint64_t kv = packKeyValue(
-                soa.depth_key[si], static_cast<std::uint32_t>(si));
-            for (std::uint32_t c = cov_offsets[si];
-                 c < cov_offsets[si + 1]; ++c)
-                cache.tile_entries_[cov_tiles[c]].push_back(kv);
-        }
-        // Ascending packed (key, si) order is exactly the stable
-        // radix order the cold renderer produces (monotone key in
-        // the high half, unique ascending-emitted si in the low
-        // half), so plain sort reproduces it bit for bit.
-        for (std::size_t t = 0; t < num_tiles; ++t) {
-            auto &v = cache.tile_entries_[t];
-            if (v.empty())
-                continue;
-            std::sort(v.begin(), v.end());
-            stats.sorted_keys += static_cast<std::int64_t>(v.size());
-            stats.sort_pass_keys += bitonicPassKeys(v.size());
-            dirty_tiles.push_back(static_cast<std::uint32_t>(t));
-        }
-        cache.image_ = Image(width, height);
+        bins = bin(soa, cov, num_tiles);
+        cache.image_ = Image(grid.width, grid.height);
         if (want_depth)
             cache.depth_.assign(
-                static_cast<std::size_t>(width) * height, 0.0f);
+                static_cast<std::size_t>(grid.width) * grid.height, 0.0f);
     } else {
         // ---- Incremental path: diff each splat against last frame
         // and patch only what changed. ----
@@ -726,9 +778,10 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
                 cache.cov_tiles_.data() + cache.cov_offsets_[si];
             const std::uint32_t *oe =
                 cache.cov_tiles_.data() + cache.cov_offsets_[si + 1];
-            const std::uint32_t *nb = cov_tiles.data() + cov_offsets[si];
+            const std::uint32_t *nb =
+                cov.tiles.data() + cov.offsets[si];
             const std::uint32_t *ne =
-                cov_tiles.data() + cov_offsets[si + 1];
+                cov.tiles.data() + cov.offsets[si + 1];
             if (!blend_changed && !key_changed && oe - ob == ne - nb &&
                 std::memcmp(ob, nb,
                             static_cast<std::size_t>(oe - ob) *
@@ -819,88 +872,49 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
         tc.tiles_reused += static_cast<std::int64_t>(num_tiles) -
                            static_cast<std::int64_t>(dirty_tiles.size());
     }
-    tc.tiles_rastered += static_cast<std::int64_t>(dirty_tiles.size());
     stage_timer.lap(obs::Stage::Binning, &stats.stage.binning_ms);
 
-    // ---- Re-rasterize only the dirty tiles, straight into the
-    // retained composited image (clean tiles keep their pixels).
-    // Same chunk fan-out and deterministic merge as render();
-    // unique-population counters cover the rastered tiles only. ----
-    Image &image = cache.image_;
-    const std::size_t map_words = (n + 63) / 64;
-    struct TileChunkOut
-    {
-        StandardFlowStats stats;
-        std::vector<std::uint64_t> contributed;
-        std::vector<std::uint64_t> fetched;
-    };
-    const bool fan_out = pool != nullptr && pool->workerCount() >= 2;
-    const std::size_t grain_tiles = std::max<std::size_t>(
-        1, kMinPixelsPerRasterChunk /
-               (static_cast<std::size_t>(tile) * tile));
-    auto tile_ranges =
-        chunkRanges(dirty_tiles.size(),
-                    fan_out ? pool->workerCount() * 4 : 1, grain_tiles);
-    std::vector<TileChunkOut> chunk_out(tile_ranges.size());
+    // ---- Raster stage, straight into the retained composited image.
+    // A full rebuild rasters every tile exactly as render() does and
+    // keeps the depth-sorted lists for next frame's patches.  An
+    // incremental frame re-rasterizes only the dirty tiles (clean
+    // tiles keep their pixels), so its unique-population counters
+    // cover the rastered tiles only. ----
+    const float *splat_depth = want_depth ? depths.data() : nullptr;
     float *depth_buf = want_depth ? cache.depth_.data() : nullptr;
-    auto raster_dirty = [&](std::size_t c, std::size_t d_begin,
-                            std::size_t d_end) {
-        TileChunkOut &out = chunk_out[c];
-        out.contributed.assign(map_words, 0);
-        out.fetched.assign(map_words, 0);
-        TileScratch scratch;
-        for (std::size_t i = d_begin; i < d_end; ++i) {
-            const std::uint32_t t_idx = dirty_tiles[i];
-            const int bx = static_cast<int>(t_idx % tiles_x);
-            const int by = static_cast<int>(t_idx / tiles_x);
-            const int x0 = bx * tile;
-            const int y0 = by * tile;
-            const int x1 = std::min(x0 + tile, width);
-            const int y1 = std::min(y0 + tile, height);
-            for (int y = y0; y < y1; ++y) {
-                for (int x = x0; x < x1; ++x)
-                    image.at(x, y) = Vec3(0, 0, 0);
-                if (depth_buf != nullptr)
-                    for (int x = x0; x < x1; ++x)
-                        depth_buf[static_cast<std::size_t>(y) * width +
-                                  x] = 0.0f;
-            }
-            const auto &v = cache.tile_entries_[t_idx];
-            if (!v.empty())
-                rasterOneTile(config_, soa, v.data(), v.size(), bx, by,
-                              width, height, image, out.stats,
-                              out.contributed.data(),
-                              out.fetched.data(), scratch,
-                              want_depth ? depths.data() : nullptr,
-                              depth_buf);
+    if (!incremental) {
+        raster(config_, soa, grid, allTiles(grid),
+               [&](std::uint32_t t) { return bins.slice(t); },
+               RasterMode::Cold, cache.image_, stats, pool, splat_depth,
+               depth_buf);
+        // Ascending packed (key, si) order is exactly the stable
+        // radix order (monotone key in the high half, unique
+        // ascending-emitted si in the low half), which the
+        // incremental patches maintain with plain sorts.
+        cache.tile_entries_.assign(num_tiles, {});
+        for (std::size_t t = 0; t < num_tiles; ++t) {
+            const std::span<std::uint64_t> list = bins.slice(t);
+            if (list.empty())
+                continue;
+            cache.tile_entries_[t].assign(list.begin(), list.end());
+            ++tc.tiles_rastered;
         }
-    };
-    runChunks(fan_out ? pool : nullptr, tile_ranges, raster_dirty);
-
-    std::vector<std::uint64_t> contributed_any(map_words, 0);
-    std::vector<std::uint64_t> fetched_any(map_words, 0);
-    for (const TileChunkOut &out : chunk_out) {
-        stats.tile_fetches += out.stats.tile_fetches;
-        stats.subtile_passes += out.stats.subtile_passes;
-        stats.alpha_evals += out.stats.alpha_evals;
-        stats.pixels_touched += out.stats.pixels_touched;
-        stats.blend_ops += out.stats.blend_ops;
-        for (std::size_t w = 0; w < map_words; ++w) {
-            contributed_any[w] |= out.contributed[w];
-            fetched_any[w] |= out.fetched[w];
-        }
-    }
-    for (std::size_t w = 0; w < map_words; ++w) {
-        stats.fetched_gaussians += std::popcount(fetched_any[w]);
-        stats.rendered_gaussians += std::popcount(contributed_any[w]);
+    } else {
+        raster(config_, soa, grid, dirty_tiles,
+               [&](std::uint32_t t) {
+                   return std::span<std::uint64_t>(cache.tile_entries_[t]);
+               },
+               RasterMode::Incremental, cache.image_, stats, pool,
+               splat_depth, depth_buf);
+        tc.tiles_rastered += static_cast<std::int64_t>(dirty_tiles.size());
     }
     stage_timer.lap(obs::Stage::Raster, &stats.stage.raster_ms);
 
     // ---- Retain this frame's state for the next one. ----
     cache.valid_ = true;
-    cache.width_ = width;
-    cache.height_ = height;
-    cache.tile_size_ = tile;
+    cache.width_ = grid.width;
+    cache.height_ = grid.height;
+    cache.tile_size_ = grid.tile;
     cache.bounding_ = config_.bounding;
     cache.termination_t_ = config_.termination_t;
     cache.alpha_cutoff_ = config_.alpha_cutoff;
@@ -909,9 +923,8 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
     cache.camera_ = cam;
     cache.soa_ = std::move(soa);
     cache.ids_ = std::move(ids);
-    cache.depths_ = std::move(depths);
-    cache.cov_offsets_ = std::move(cov_offsets);
-    cache.cov_tiles_ = std::move(cov_tiles);
+    cache.cov_offsets_ = std::move(cov.offsets);
+    cache.cov_tiles_ = std::move(cov.tiles);
     cache.depth_valid_ = want_depth;
 
     if (cache.options.every > 1 || cache.options.keep_exact) {
@@ -1047,7 +1060,6 @@ TileRenderer::renderReference(const GaussianCloud &cloud,
                         if (t < config_.termination_t)
                             continue;
                         ++stats.alpha_evals;
-                        ++stats.pixels_touched;
                         Vec2 p(static_cast<float>(x) + 0.5f,
                                static_cast<float>(y) + 0.5f);
                         float a = s.ellipse.alphaAt(p, s.opacity);

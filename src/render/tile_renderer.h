@@ -14,16 +14,19 @@
  * preprocessed counts (Fig. 2a), KV pair counts and per-pixel alpha
  * evaluation counts (Table 1, Fig. 11).
  *
- * Two implementations of the frame are kept:
- *
- *  - render(): the fast path — SoA splat store, two-pass CSR tile
- *    binning into one flat key-value array, per-tile LSD radix sort
- *    on monotone depth keys, and per-splat pixel iteration bounded by
- *    the cutoff-safe footprint rect (skipped pixels are accounted
- *    analytically, so the reported hardware stats do not change);
- *  - renderReference(): the direct scalar transcription the fast
- *    path is validated against — nested per-tile vectors, comparator
- *    stable_sort, full-tile pixel sweeps.
+ * The fast path is four stages: prepare (preprocess + SoA splat
+ * store), cover (each splat's tile coverage, walked once), bin
+ * (counting scatter into one flat per-tile key-value array) and
+ * raster (per-tile LSD radix depth sort of fresh lists, per-splat
+ * pixel iteration bounded by the cutoff-safe footprint rect — skipped
+ * pixels are accounted analytically, so the reported hardware stats
+ * do not change — and one chunk-ordered merge).  render() runs all
+ * four over every tile; renderTemporal() runs the same four on a full
+ * rebuild, and prepare, cover and raster of the dirty tiles on an
+ * incremental frame; tilesPerSplat() runs prepare's SoA build and
+ * cover.  renderReference() is the direct scalar transcription they
+ * are validated against — nested per-tile vectors, comparator
+ * stable_sort, full-tile pixel sweeps.
  *
  * Both produce bit-identical images and identical StandardFlowStats;
  * tests/test_renderer_equivalence.cc locks that in across bounding
@@ -88,8 +91,9 @@ struct TileRendererConfig
  * Thread safety: render() keeps all per-frame state on the stack and
  * only reads config_ and its const arguments, so one renderer (or
  * one per thread) may render concurrently, including from a shared
- * const GaussianCloud.  A ThreadPool passed to render() is only used
- * for the preprocess fan-out and may be shared between renderers.
+ * const GaussianCloud.  A ThreadPool passed to render() or
+ * renderTemporal() fans out the preprocess and raster stages and may
+ * be shared between renderers.
  */
 class TileRenderer
 {
@@ -167,10 +171,10 @@ class TileRenderer
                           StandardFlowStats &stats) const;
 
     /**
-     * Tile-binning only: returns the number of tiles each splat maps
+     * Tile coverage only: returns the number of tiles each splat maps
      * to under the configured bounding mode (used by Fig. 2b without
-     * paying for full rendering).  Shares the coverage helpers of
-     * splat_soa.h with the render paths.
+     * paying for full rendering), read from the render paths' cover
+     * stage.
      */
     std::vector<int> tilesPerSplat(const std::vector<Splat> &splats,
                                    const Camera &cam) const;

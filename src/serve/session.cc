@@ -106,13 +106,14 @@ Session::renderFrame(int frame) const
 double
 Session::renderFrame(int frame, FrameStageCost *cost) const
 {
-    if (frame < 0 || frame >= config_.frames)
-        throw std::out_of_range("session frame index out of range");
-    // Recorder samples emitted below (renderer laps, LOD decode,
-    // chunk decodes) carry this session/frame in the trace.
-    obs::FrameTag tag(config_.id, frame);
-    const Camera &cam =
-        scene_.trajectory->frame(static_cast<std::size_t>(frame));
+    return renderFrameDegraded(frame, DegradeTier::Full, cost, nullptr);
+}
+
+double
+Session::renderCut(const Camera &cam, const LodCutParams &cut_params,
+                   const Camera &render_cam, bool temporal,
+                   bool force_warp, FrameStageCost *cost) const
+{
     // LOD sessions render the camera's cut; resident-cloud sessions
     // render the shared cloud.  Both are pure in (scene, camera).
     GaussianCloud cut;
@@ -120,30 +121,28 @@ Session::renderFrame(int frame, FrameStageCost *cost) const
     double decode_ms = 0.0;
     if (scene_.lod) {
         obs::PerfScope decode_scope(obs::Stage::Decode, &decode_ms);
-        cut = scene_.lod->buildCut(cam, config_.lod_cut);
+        cut = scene_.lod->buildCut(cam, cut_params);
         cloud = &cut;
     }
+    Image image;
+    StageTimes stage;
     if (config_.renderer == SessionRenderer::Tile) {
         StandardFlowStats stats;
-        const Image image =
-            temporal_ ? tile_.renderTemporal(*cloud, cam, stats, *temporal_)
-                      : tile_.render(*cloud, cam, stats);
-        if (cost != nullptr) {
-            cost->pre_ms = stats.stage.preprocess_ms;
-            cost->bin_ms = stats.stage.binning_ms;
-            cost->raster_ms = stats.stage.raster_ms;
-            cost->warp_ms = stats.stage.warp_ms;
-            cost->decode_ms = decode_ms;
-        }
-        return imageChecksum(image);
+        image = temporal ? tile_.renderTemporal(*cloud, render_cam, stats,
+                                                *temporal_, nullptr,
+                                                force_warp)
+                         : tile_.render(*cloud, render_cam, stats);
+        stage = stats.stage;
+    } else {
+        GaussianWiseStats stats;
+        image = gw_.render(*cloud, render_cam, stats);
+        stage = stats.stage;
     }
-    GaussianWiseStats stats;
-    const Image image = gw_.render(*cloud, cam, stats);
     if (cost != nullptr) {
-        cost->pre_ms = stats.stage.preprocess_ms;
-        cost->bin_ms = stats.stage.binning_ms;
-        cost->raster_ms = stats.stage.raster_ms;
-        cost->warp_ms = stats.stage.warp_ms;
+        cost->pre_ms = stage.preprocess_ms;
+        cost->bin_ms = stage.binning_ms;
+        cost->raster_ms = stage.raster_ms;
+        cost->warp_ms = stage.warp_ms;
         cost->decode_ms = decode_ms;
     }
     return imageChecksum(image);
@@ -173,85 +172,47 @@ Session::renderFrameDegraded(int frame, DegradeTier tier,
                              FrameStageCost *cost,
                              DegradeTier *served) const
 {
-    if (tier == DegradeTier::Full || tier == DegradeTier::Drop ||
-        !tierAvailable(tier)) {
-        if (served != nullptr)
-            *served = DegradeTier::Full;
-        return renderFrame(frame, cost);
-    }
     if (frame < 0 || frame >= config_.frames)
         throw std::out_of_range("session frame index out of range");
+    if (tier == DegradeTier::Drop || !tierAvailable(tier))
+        tier = DegradeTier::Full;
+    // Recorder samples emitted below (renderer laps, LOD decode,
+    // chunk decodes) carry this session/frame in the trace.
     obs::FrameTag tag(config_.id, frame);
     const Camera &cam =
         scene_.trajectory->frame(static_cast<std::size_t>(frame));
 
-    if (tier == DegradeTier::Warp) {
-        // Forced reprojection from the last exact frame.  Falls back
-        // to an exact render when no warp source is valid yet (the
-        // fallback also primes the source for the next request).
-        StandardFlowStats stats;
-        const std::int64_t warped_before =
-            temporal_->counters().warped_frames;
-        const std::int64_t copied_before =
-            temporal_->counters().copied_frames;
-        const Image image = tile_.renderTemporal(
-            *scene_.cloud, cam, stats, *temporal_, nullptr,
-            /*force_warp=*/true);
-        if (cost != nullptr) {
-            cost->pre_ms = stats.stage.preprocess_ms;
-            cost->bin_ms = stats.stage.binning_ms;
-            cost->raster_ms = stats.stage.raster_ms;
-            cost->warp_ms = stats.stage.warp_ms;
-        }
-        if (served != nullptr)
-            *served = (temporal_->counters().warped_frames > warped_before ||
-                       temporal_->counters().copied_frames > copied_before)
-                          ? DegradeTier::Warp
-                          : DegradeTier::Full;
-        return imageChecksum(image);
-    }
-
-    // HalfRes / CoarseLod: stateless exact renders with a cheaper
-    // camera or cut — the temporal cache is never touched.
-    GaussianCloud cut;
-    const GaussianCloud *cloud = scene_.cloud.get();
-    double decode_ms = 0.0;
-    if (scene_.lod) {
-        obs::PerfScope decode_scope(obs::Stage::Decode, &decode_ms);
-        LodCutParams params = config_.lod_cut;
-        if (tier == DegradeTier::CoarseLod)
-            params.tau *= config_.degrade_tau_factor;
-        cut = scene_.lod->buildCut(cam, params);
-        cloud = &cut;
-    }
+    // Full frames stream through the temporal cache when the session
+    // has one.  Warp forces a reprojection from the last exact frame
+    // and falls back to an exact render when no warp source is valid
+    // yet (the fallback also primes the source for the next request).
+    // HalfRes / CoarseLod are stateless exact renders with a cheaper
+    // camera or cut: the temporal cache is never touched.
+    LodCutParams cut_params = config_.lod_cut;
+    if (tier == DegradeTier::CoarseLod)
+        cut_params.tau *= config_.degrade_tau_factor;
     const Camera render_cam =
         tier == DegradeTier::HalfRes
             ? cam.scaledResolution(config_.degrade_render_scale)
             : cam;
-    if (served != nullptr)
-        *served = tier;
-    if (config_.renderer == SessionRenderer::Tile) {
-        StandardFlowStats stats;
-        const Image image = tile_.render(*cloud, render_cam, stats);
-        if (cost != nullptr) {
-            cost->pre_ms = stats.stage.preprocess_ms;
-            cost->bin_ms = stats.stage.binning_ms;
-            cost->raster_ms = stats.stage.raster_ms;
-            cost->warp_ms = stats.stage.warp_ms;
-            cost->decode_ms = decode_ms;
-        }
-        return imageChecksum(image);
+    const bool temporal = temporal_ != nullptr &&
+                          (tier == DegradeTier::Full ||
+                           tier == DegradeTier::Warp);
+    const TemporalCounters before =
+        temporal ? temporal_->counters() : TemporalCounters{};
+    const double checksum =
+        renderCut(cam, cut_params, render_cam, temporal,
+                  tier == DegradeTier::Warp, cost);
+    if (served != nullptr) {
+        const bool warp_served =
+            temporal &&
+            (temporal_->counters().warped_frames > before.warped_frames ||
+             temporal_->counters().copied_frames > before.copied_frames);
+        *served = tier == DegradeTier::Warp && !warp_served
+                      ? DegradeTier::Full
+                      : tier;
     }
-    GaussianWiseStats stats;
-    const Image image = gw_.render(*cloud, render_cam, stats);
-    if (cost != nullptr) {
-        cost->pre_ms = stats.stage.preprocess_ms;
-        cost->bin_ms = stats.stage.binning_ms;
-        cost->raster_ms = stats.stage.raster_ms;
-        cost->warp_ms = stats.stage.warp_ms;
-        cost->decode_ms = decode_ms;
-    }
-    return imageChecksum(image);
+    return checksum;
 }
 
 } // namespace gcc3d

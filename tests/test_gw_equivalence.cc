@@ -267,7 +267,6 @@ TEST(TileRendererThreads, RasterFanOutMatchesSerialAtEveryWorkerCount)
                   st_pooled.rendered_gaussians);
         EXPECT_EQ(st_serial.alpha_evals, st_pooled.alpha_evals);
         EXPECT_EQ(st_serial.blend_ops, st_pooled.blend_ops);
-        EXPECT_EQ(st_serial.pixels_touched, st_pooled.pixels_touched);
         EXPECT_EQ(st_serial.subtile_passes, st_pooled.subtile_passes);
         EXPECT_EQ(st_serial.kv_pairs, st_pooled.kv_pairs);
     }

@@ -57,7 +57,6 @@ expectStatsIdentical(const StandardFlowStats &a, const StandardFlowStats &b)
     EXPECT_EQ(a.rendered_gaussians, b.rendered_gaussians);
     EXPECT_EQ(a.alpha_evals, b.alpha_evals);
     EXPECT_EQ(a.blend_ops, b.blend_ops);
-    EXPECT_EQ(a.pixels_touched, b.pixels_touched);
     EXPECT_EQ(a.subtile_passes, b.subtile_passes);
     EXPECT_EQ(a.sort_pass_keys, b.sort_pass_keys);
 }
@@ -311,42 +310,68 @@ TEST(TemporalEquivalence,
     // The exact temporal mode's whole contract: replaying a
     // trajectory through the persistent cache — full rebuild, then
     // incremental binning, dirty-tile reuse and held-frame copies —
-    // is bit-identical to rendering every frame cold, at every tile
-    // size and worker count.
+    // is bit-identical to rendering every frame cold, in every
+    // bounding mode, at every tile size and worker count, with and
+    // without the warp source the serving ladder keeps
+    // (keep_exact).  A full rebuild runs render()'s stages, so its
+    // stats match the cold frame's too.
     SceneSpec spec = test::tinySpec(17, 2500);
     GaussianCloud cloud = generateScene(spec, 1.0f);
     Trajectory stream = heldStream(spec, 4, 0.1f, 2);
     const std::size_t n = stream.frameCount();
 
-    for (int tile : {8, 16, 32, 64}) {
-        TileRendererConfig cfg;
-        cfg.tile_size = tile;
-        TileRenderer renderer(cfg);
-        for (int workers : {1, 2, 8}) {
-            ThreadPool pool(workers);
-            ThreadPool *p = workers > 1 ? &pool : nullptr;
-            TemporalCache cache;
-            for (std::size_t f = 0; f < n; ++f) {
-                StandardFlowStats st_cold, st_warm;
-                Image cold =
-                    renderer.render(cloud, stream.frame(f), st_cold, p);
-                Image warm = renderer.renderTemporal(
-                    cloud, stream.frame(f), st_warm, cache, p);
-                EXPECT_TRUE(imagesBitIdentical(cold, warm))
-                    << "tile " << tile << ", workers " << workers
-                    << ", frame " << f;
+    for (BoundingMode mode :
+         {BoundingMode::Aabb3Sigma, BoundingMode::Obb3Sigma,
+          BoundingMode::OmegaSigma, BoundingMode::Conservative}) {
+        for (int tile : {8, 16, 32, 64}) {
+            TileRendererConfig cfg;
+            cfg.bounding = mode;
+            cfg.tile_size = tile;
+            TileRenderer renderer(cfg);
+            // Cold frames are worker-count invariant
+            // (RenderWithPoolMatchesWithout), so one serial pass
+            // serves every cache configuration below.
+            std::vector<Image> cold(n);
+            std::vector<StandardFlowStats> st_cold(n);
+            for (std::size_t f = 0; f < n; ++f)
+                cold[f] = renderer.render(cloud, stream.frame(f),
+                                          st_cold[f]);
+            for (bool keep_exact : {false, true}) {
+                for (int workers : {1, 2, 8}) {
+                    ThreadPool pool(workers);
+                    ThreadPool *p = workers > 1 ? &pool : nullptr;
+                    TemporalCache cache;
+                    cache.options.keep_exact = keep_exact;
+                    for (std::size_t f = 0; f < n; ++f) {
+                        SCOPED_TRACE(::testing::Message()
+                                     << "mode " << static_cast<int>(mode)
+                                     << ", tile " << tile
+                                     << ", keep_exact " << keep_exact
+                                     << ", workers " << workers
+                                     << ", frame " << f);
+                        StandardFlowStats st_warm;
+                        const std::int64_t rebuilds_before =
+                            cache.counters().full_rebuilds;
+                        Image warm = renderer.renderTemporal(
+                            cloud, stream.frame(f), st_warm, cache, p);
+                        EXPECT_TRUE(imagesBitIdentical(cold[f], warm));
+                        if (cache.counters().full_rebuilds >
+                            rebuilds_before)
+                            expectStatsIdentical(st_cold[f], st_warm);
+                    }
+                    const TemporalCounters &c = cache.counters();
+                    EXPECT_EQ(c.frames, n);
+                    EXPECT_EQ(c.copied_frames, n / 2);  // held repeats
+                    EXPECT_EQ(c.exact_frames, n - n / 2);
+                    // Every exact frame is either incremental or a
+                    // full rebuild (a pose change that alters the
+                    // culled population forces the latter by design).
+                    EXPECT_EQ(c.full_rebuilds + c.incremental_frames,
+                              c.exact_frames);
+                    EXPECT_GE(c.full_rebuilds, 1u);
+                    EXPECT_EQ(c.warped_frames, 0u);
+                }
             }
-            const TemporalCounters &c = cache.counters();
-            EXPECT_EQ(c.frames, n);
-            EXPECT_EQ(c.copied_frames, n / 2);  // every held repeat
-            EXPECT_EQ(c.exact_frames, n - n / 2);
-            // Every exact frame is either incremental or a full
-            // rebuild (a pose change that alters the culled
-            // population forces the latter by design).
-            EXPECT_EQ(c.full_rebuilds + c.incremental_frames,
-                      c.exact_frames);
-            EXPECT_GE(c.full_rebuilds, 1u);
-            EXPECT_EQ(c.warped_frames, 0u);
         }
     }
 }
