@@ -7,15 +7,20 @@
  * around zero, where half precision carries ~3 decimal digits — far
  * below the color quantization any 8-bit display applies, and half
  * the bytes of fp32.  These are pure bit-manipulation converters
- * (no F16C dependency) so every backend, including the forced-scalar
- * CI leg, decodes identically.
+ * (no F16C dependency: its conversion quiets signalling-NaN payloads)
+ * so every backend, including the forced-scalar build, decodes
+ * identically.  Decoding has a scalar and a simd:: lane form;
+ * tests/test_fixed_point.cc checks both on all 65536 patterns.
  */
 
 #ifndef GCC3D_GSMATH_HALF_H
 #define GCC3D_GSMATH_HALF_H
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
+
+#include "gsmath/simd.h"
 
 namespace gcc3d {
 
@@ -69,37 +74,76 @@ floatToHalf(float f)
     return static_cast<std::uint16_t>(sign | half);
 }
 
-/** Convert fp16 bits to float (exact; every half is representable). */
+namespace half_detail {
+/** fp16 exponent field once the magnitude bits sit at float position. */
+inline constexpr std::uint32_t kExpMask = 0x1fu << 23;
+/** Exponent rebias 15 -> 127 for normal halves. */
+inline constexpr std::uint32_t kNormalBias = (127u - 15u) << 23;
+/** Extra rebias taking the all-ones half exponent to the float one. */
+inline constexpr std::uint32_t kInfNanBias = (128u - 16u) << 23;
+/** Bits of 2^-14, the smallest normal half. */
+inline constexpr std::uint32_t kMinNormalBits = 113u << 23;
+} // namespace half_detail
+
+/**
+ * Convert fp16 bits to float (exact; every half is representable).
+ *
+ * Branch-free: the magnitude is shifted into float position and
+ * rebiased; the all-ones exponent (inf / NaN, payload kept bit for
+ * bit, signalling NaNs included) gets the extra rebias, and a zero
+ * exponent (zero / subnormal) is renormalized by the exact float
+ * subtraction (2^-14 * 1.m) - 2^-14 = m * 2^-24.  Masks pick the case.
+ */
 inline float
 halfToFloat(std::uint16_t h)
 {
+    using namespace half_detail;
+    const std::uint32_t em = static_cast<std::uint32_t>(h & 0x7fffu) << 13;
+    const std::uint32_t exp = em & kExpMask;
+    const std::uint32_t special =
+        0u - static_cast<std::uint32_t>(exp == kExpMask);
+    const std::uint32_t tiny = 0u - static_cast<std::uint32_t>(exp == 0);
+    const std::uint32_t normal = em + kNormalBias + (special & kInfNanBias);
+    const std::uint32_t subnormal = std::bit_cast<std::uint32_t>(
+        std::bit_cast<float>(em + kMinNormalBits) -
+        std::bit_cast<float>(kMinNormalBits));
     const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
-    const std::uint32_t exp = (h >> 10) & 0x1fu;
-    std::uint32_t mant = h & 0x3ffu;
-
-    std::uint32_t bits;
-    if (exp == 0) {
-        if (mant == 0) {
-            bits = sign;  // +/- zero
-        } else {
-            // Subnormal half: normalize into a float exponent.
-            int e = -1;
-            do {
-                ++e;
-                mant <<= 1;
-            } while ((mant & 0x400u) == 0);
-            bits = sign | static_cast<std::uint32_t>(127 - 15 - e) << 23 |
-                   ((mant & 0x3ffu) << 13);
-        }
-    } else if (exp == 0x1f) {
-        bits = sign | 0x7f800000u | (mant << 13);  // inf / NaN
-    } else {
-        bits = sign | ((exp + 127 - 15) << 23) | (mant << 13);
-    }
-    float f;
-    std::memcpy(&f, &bits, sizeof(f));
-    return f;
+    return std::bit_cast<float>(sign | (normal & ~tiny) | (subnormal & tiny));
 }
+
+namespace simd {
+
+/**
+ * halfToFloat on kWidth lanes: lane i of @p h holds fp16 bits (high
+ * half zero); lane i of the result is halfToFloat of them, bit for
+ * bit, on every backend.
+ */
+inline FloatV
+halfToFloat(const IntV &h)
+{
+    using namespace half_detail;
+    const IntV em = (h & IntV(0x7fff)).shiftLeft<13>();
+    const IntV exp = em & IntV(kExpMask);
+    const IntV normal = em + IntV(kNormalBias);
+    const IntV special = normal + IntV(kInfNanBias);
+    const IntV subnormal = bitcastToInt(
+        bitcastToFloat(em + IntV(kMinNormalBits)) -
+        bitcastToFloat(IntV(kMinNormalBits)));
+    IntV bits = selectInt(cmpEq(exp, IntV(kExpMask)), special, normal);
+    bits = selectInt(cmpEq(exp, IntV(0)), subnormal, bits);
+    return bitcastToFloat(bits | (h & IntV(0x8000)).shiftLeft<16>());
+}
+
+/** Convert the 8 fp16 values at @p in to floats at @p out. */
+inline void
+halfToFloat8(const std::uint16_t *in, float *out)
+{
+    static_assert(8 % kWidth == 0, "8 halves must fill whole vectors");
+    for (int i = 0; i < 8; i += kWidth)
+        halfToFloat(IntV::loadU16(in + i)).store(out + i);
+}
+
+} // namespace simd
 
 } // namespace gcc3d
 

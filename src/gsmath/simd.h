@@ -478,6 +478,27 @@ struct IntV
         return r;
     }
 
+    /** Zero-extending load of kWidth u16 values. */
+    static IntV
+    loadU16(const std::uint16_t *p)
+    {
+        IntV r;
+#if defined(GCC3D_SIMD_AVX2)
+        r.v = _mm256_cvtepu16_epi32(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)));
+#elif defined(GCC3D_SIMD_SSE2)
+        r.v = _mm_unpacklo_epi16(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(p)),
+            _mm_setzero_si128());
+#elif defined(GCC3D_SIMD_NEON)
+        r.v = vreinterpretq_s32_u32(vmovl_u16(vld1_u16(p)));
+#else
+        for (int i = 0; i < 4; ++i)
+            r.v[i] = p[i];
+#endif
+        return r;
+    }
+
     void
     store(std::int32_t *p) const
     {

@@ -104,9 +104,7 @@ LodScene::loadLeaf(std::size_t index)
                     if (fault.inject)
                         throw std::runtime_error(
                             "lod: chunk decode failed (injected)");
-                    MutexLock lock(stream_mutex_);
-                    reader_->loadChunk(stream_, index, chunk.gaussians,
-                                       chunk.indices);
+                    decodeLeaf(index, chunk.gaussians, chunk.indices);
                 });
         } catch (const std::exception &) {
             if (attempt + 1 >= retry.max_attempts)
@@ -121,22 +119,56 @@ LodScene::loadLeaf(std::size_t index)
     }
 }
 
+void
+LodScene::decodeLeaf(std::size_t index, std::vector<Gaussian> &gaussians,
+                     std::vector<std::uint32_t> &indices)
+{
+    std::vector<unsigned char> payload;
+    {
+        MutexLock lock(stream_mutex_);
+        reader_->readChunk(stream_, index, payload);
+    }
+    reader_->decodeChunk(index, payload, gaussians, indices);
+}
+
 GaussianCloud
 LodScene::buildCut(const Camera &camera, const LodCutParams &params,
                    LodCutStats *stats)
 {
-    GaussianCloud cut(reader_->name());
-    LodCutStats local;
+    // Levels first: the directory gives every chunk's size at its
+    // level, so the cut is allocated once and filled chunk by chunk.
+    // Cached leaves are fetched in the same pass, before any miss is
+    // decoded: a cut's leaves can outnumber the budget, and fetched
+    // in index order LRU would evict each cached leaf just before the
+    // scan reaches it.  The cut's order is fixed below, whatever the
+    // order of fetching.
     const Vec3 &cam = camera.position();
-
-    for (std::size_t i = 0; i < reader_->chunkCount(); ++i) {
+    std::vector<int> levels(reader_->chunkCount());
+    std::vector<std::shared_ptr<const ResidentChunk>> leaves(levels.size());
+    std::size_t cut_size = 0;
+    for (std::size_t i = 0; i < levels.size(); ++i) {
         const GscV2ChunkInfo &info = reader_->chunk(i);
-        int level = selectLevel(cam, info.lo, info.hi, params,
+        levels[i] = selectLevel(cam, info.lo, info.hi, params,
                                 reader_->proxyLevels());
-        if (level == 0) {
-            std::shared_ptr<const ResidentChunk> leaf;
+        if (levels[i] == 0) {
+            cut_size += static_cast<std::size_t>(info.count);
+            leaves[i] = residency_.lookup(i);
+        } else {
+            cut_size +=
+                info.proxies[static_cast<std::size_t>(levels[i] - 1)].size();
+        }
+    }
+
+    GaussianCloud cut(reader_->name());
+    cut.reserve(cut_size);
+    LodCutStats local;
+    for (std::size_t i = 0; i < levels.size(); ++i) {
+        const GscV2ChunkInfo &info = reader_->chunk(i);
+        if (levels[i] == 0) {
+            std::shared_ptr<const ResidentChunk> leaf = std::move(leaves[i]);
             try {
-                leaf = loadLeaf(i);
+                if (!leaf)
+                    leaf = loadLeaf(i);
             } catch (const std::exception &) {
                 // Retries exhausted.  Degrade to the finest resident
                 // proxy instead of failing the frame — a deliberate,
@@ -147,22 +179,17 @@ LodScene::buildCut(const Camera &camera, const LodCutParams &params,
                         .counter("lod.chunk.proxy_fallbacks")
                         .add();
                     ++local.proxy_fallbacks;
-                    for (const Gaussian &g : info.proxies[0])
-                        cut.add(g);
+                    cut.append(info.proxies[0]);
                     ++local.proxy_chunks;
                     continue;
                 }
                 throw;  // flat file: nothing to degrade to
             }
-            for (const Gaussian &g : leaf->gaussians)
-                cut.add(g);
+            cut.append(leaf->gaussians);
             ++local.leaf_chunks;
             local.leaf_gaussians += leaf->gaussians.size();
         } else {
-            const std::vector<Gaussian> &proxies =
-                info.proxies[static_cast<std::size_t>(level - 1)];
-            for (const Gaussian &g : proxies)
-                cut.add(g);
+            cut.append(info.proxies[static_cast<std::size_t>(levels[i] - 1)]);
             ++local.proxy_chunks;
         }
     }
@@ -182,10 +209,7 @@ LodScene::fullCloud()
     std::vector<Gaussian> gaussians;
     std::vector<std::uint32_t> indices;
     for (std::size_t i = 0; i < reader_->chunkCount(); ++i) {
-        {
-            MutexLock lock(stream_mutex_);
-            reader_->loadChunk(stream_, i, gaussians, indices);
-        }
+        decodeLeaf(i, gaussians, indices);
         for (std::size_t k = 0; k < gaussians.size(); ++k)
             cloud.gaussians()[indices[k]] = gaussians[k];
     }

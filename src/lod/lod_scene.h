@@ -9,7 +9,9 @@
  * each chunk at exactly one level: leaves (level 0) when the chunk
  * subtends a large enough angle from the camera, a proxy level
  * otherwise.  Coarser chunks contribute proxies already in RAM;
- * level-0 chunks fault their leaves in through the residency cache.
+ * level-0 chunks fault their leaves in through the residency cache,
+ * cached leaves first so that a cut larger than the budget does not
+ * evict the leaves it is about to reuse.
  *
  * The cut depends only on the camera and the cut parameters — never
  * on cache state (over-budget chunks load transiently rather than
@@ -24,6 +26,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "lod/residency.h"
 #include "runtime/mutex.h"
@@ -121,12 +124,17 @@ class LodScene
   private:
     std::shared_ptr<const ResidentChunk> loadLeaf(std::size_t index);
 
-    /** Chunk decodes seek the one stream; the mutex serializes them. */
+    /** Read leaf chunk @p index under stream_mutex_, decode unlocked. */
+    void decodeLeaf(std::size_t index, std::vector<Gaussian> &gaussians,
+                    std::vector<std::uint32_t> &indices);
+
+    /** Chunk reads seek the one stream; the mutex guards only that
+     *  seek and read, never the decode that follows. */
     std::ifstream stream_ GUARDED_BY(stream_mutex_);
     Mutex stream_mutex_;
     /** Directory + proxy pyramid: immutable after construction.  Its
-     *  loadChunk() only mutates the stream passed in, which callers
-     *  hand over under stream_mutex_. */
+     *  readChunk() only mutates the stream passed in, which callers
+     *  hand over under stream_mutex_; decodeChunk() is const. */
     std::unique_ptr<GscV2Reader> reader_;
     ResidencyManager residency_;  ///< internally synchronized
     std::size_t proxy_bytes_ = 0; ///< immutable after construction

@@ -6,6 +6,37 @@
 
 namespace gcc3d::obs {
 
+std::string
+perfSummaryJson(const PerfSummary &summary)
+{
+    std::ostringstream os;
+    os.precision(std::numeric_limits<double>::max_digits10);
+    os << "{\"recorded\": " << summary.recorded
+       << ", \"retained\": " << summary.retained << ",\n   \"stages\": {";
+    bool first = true;
+    for (int i = 0; i < kStageCount; ++i) {
+        const StageSummary &s = summary.stages[static_cast<std::size_t>(i)];
+        if (s.count == 0)
+            continue;
+        if (!first)
+            os << ",";
+        first = false;
+        os << "\n    \"" << stageName(static_cast<Stage>(i))
+           << "\": {\"count\": " << s.count
+           << ", \"total_ms\": " << s.total_ms
+           << ", \"mean_ms\": " << s.total_ms / static_cast<double>(s.count)
+           << ", \"min_ms\": " << s.min_ms << ", \"max_ms\": " << s.max_ms
+           << ", \"recent\": [";
+        for (std::size_t k = 0; k < s.recent.size(); ++k)
+            os << (k != 0 ? ", " : "") << s.recent[k];
+        os << "]}";
+    }
+    os << (first ? "}" : "\n  }") << "}";
+    return os.str();
+}
+
+#if GCC3D_OBS_ENABLED
+
 namespace {
 
 /**
@@ -41,41 +72,6 @@ mergeKeyLess(const PerfSample &a, const PerfSample &b)
         return a.seq < b.seq;
     return a.dur_ms < b.dur_ms;
 }
-
-} // namespace
-
-std::string
-perfSummaryJson(const PerfSummary &summary)
-{
-    std::ostringstream os;
-    os.precision(std::numeric_limits<double>::max_digits10);
-    os << "{\"recorded\": " << summary.recorded
-       << ", \"retained\": " << summary.retained << ",\n   \"stages\": {";
-    bool first = true;
-    for (int i = 0; i < kStageCount; ++i) {
-        const StageSummary &s = summary.stages[static_cast<std::size_t>(i)];
-        if (s.count == 0)
-            continue;
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\n    \"" << stageName(static_cast<Stage>(i))
-           << "\": {\"count\": " << s.count
-           << ", \"total_ms\": " << s.total_ms
-           << ", \"mean_ms\": " << s.total_ms / static_cast<double>(s.count)
-           << ", \"min_ms\": " << s.min_ms << ", \"max_ms\": " << s.max_ms
-           << ", \"recent\": [";
-        for (std::size_t k = 0; k < s.recent.size(); ++k)
-            os << (k != 0 ? ", " : "") << s.recent[k];
-        os << "]}";
-    }
-    os << (first ? "}" : "\n  }") << "}";
-    return os.str();
-}
-
-#if GCC3D_OBS_ENABLED
-
-namespace {
 
 std::uint64_t
 nextRecorderId()

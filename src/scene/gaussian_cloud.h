@@ -39,6 +39,11 @@ class GaussianCloud
 
     void reserve(std::size_t n) { gaussians_.reserve(n); }
     void add(const Gaussian &g) { gaussians_.push_back(g); }
+    void
+    append(const std::vector<Gaussian> &gs)
+    {
+        gaussians_.insert(gaussians_.end(), gs.begin(), gs.end());
+    }
     void clear() { gaussians_.clear(); }
 
     /** Total model size in bytes at fp32 (59 floats per Gaussian). */

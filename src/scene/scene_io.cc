@@ -175,53 +175,57 @@ encodeBody(const Gaussian &g, bool quantized, const ChunkFrame &frame,
     os.write(reinterpret_cast<const char *>(buf), sizeof(buf));
 }
 
-Gaussian
-decodeBody(std::istream &is, bool quantized, const ChunkFrame &frame)
+/**
+ * Decode one record body: the bodyBytes(@p quantized) bytes at @p p.
+ * The one decoder behind leaf chunks, footer proxies and loadCloud.
+ */
+void
+decodeBody(const unsigned char *p, bool quantized, const ChunkFrame &frame,
+           Gaussian &g)
 {
-    Gaussian g;
     if (!quantized) {
         float rec[Gaussian::kTotalFloats];
-        is.read(reinterpret_cast<char *>(rec), sizeof(rec));
-        if (!is)
-            throw std::runtime_error("scene_io: truncated record");
+        std::memcpy(rec, p, sizeof(rec));
         g.mean = Vec3(rec[0], rec[1], rec[2]);
         g.scale = Vec3(rec[3], rec[4], rec[5]);
         g.rotation = Quat(rec[6], rec[7], rec[8], rec[9]);
         g.opacity = rec[10];
         std::memcpy(g.sh.data(), rec + 11, sizeof(float) * kShCoeffsTotal);
-        return g;
+        return;
     }
 
-    unsigned char buf[kQuantBodyBytes];
-    is.read(reinterpret_cast<char *>(buf), sizeof(buf));
+    // Every quantized field is 16 bits wide (layout in encodeBody).
+    std::uint16_t q[kQuantBodyBytes / 2];
+    std::memcpy(q, p, sizeof(q));
+    auto unit = [&q](int i) {
+        return unitDequant(static_cast<std::int16_t>(q[i]));
+    };
+    g.mean = Vec3(frame.center.x + frame.half.x * unit(0),
+                  frame.center.y + frame.half.y * unit(1),
+                  frame.center.z + frame.half.z * unit(2));
+    g.scale = Vec3(logDequant(q[3], kLogScaleMin, kLogScaleMax),
+                   logDequant(q[4], kLogScaleMin, kLogScaleMax),
+                   logDequant(q[5], kLogScaleMin, kLogScaleMax));
+    g.rotation = Quat(unit(6), unit(7), unit(8), unit(9)).normalized();
+    g.opacity = logDequant(q[10], kLogOpacityMin, 0.0f);
+    static_assert(kShCoeffsTotal % 8 == 0);
+    for (std::size_t i = 0; i < kShCoeffsTotal; i += 8)
+        simd::halfToFloat8(q + 11 + i, g.sh.data() + i);
+}
+
+/**
+ * Read exactly @p bytes from @p is into @p buf with one read.
+ * @throws std::runtime_error ("truncated <what>") on a short read.
+ */
+void
+readBytes(std::istream &is, std::vector<unsigned char> &buf,
+          std::uint64_t bytes, const char *what)
+{
+    buf.resize(static_cast<std::size_t>(bytes));
+    is.read(reinterpret_cast<char *>(buf.data()),
+            static_cast<std::streamsize>(bytes));
     if (!is)
-        throw std::runtime_error("scene_io: truncated record");
-    std::size_t at = 0;
-    auto get16 = [&]() {
-        std::uint16_t v;
-        std::memcpy(&v, buf + at, 2);
-        at += 2;
-        return v;
-    };
-    auto getUnit = [&]() {
-        return unitDequant(static_cast<std::int16_t>(get16()));
-    };
-    // Sequence every read explicitly: argument evaluation order is
-    // unspecified, so get16() calls must not nest in constructors.
-    float px = getUnit(), py = getUnit(), pz = getUnit();
-    g.mean = Vec3(frame.center.x + frame.half.x * px,
-                  frame.center.y + frame.half.y * py,
-                  frame.center.z + frame.half.z * pz);
-    float sx = logDequant(get16(), kLogScaleMin, kLogScaleMax);
-    float sy = logDequant(get16(), kLogScaleMin, kLogScaleMax);
-    float sz = logDequant(get16(), kLogScaleMin, kLogScaleMax);
-    g.scale = Vec3(sx, sy, sz);
-    float qw = getUnit(), qx = getUnit(), qy = getUnit(), qz = getUnit();
-    g.rotation = Quat(qw, qx, qy, qz).normalized();
-    g.opacity = logDequant(get16(), kLogOpacityMin, 0.0f);
-    for (std::size_t i = 0; i < kShCoeffsTotal; ++i)
-        g.sh[i] = halfToFloat(get16());
-    return g;
+        throw std::runtime_error(std::string("scene_io: truncated ") + what);
 }
 
 void
@@ -299,10 +303,12 @@ loadCloudV2Body(std::istream &is)
     cloud.gaussians().resize(static_cast<std::size_t>(total));
     std::vector<bool> seen(static_cast<std::size_t>(total), false);
 
+    std::vector<unsigned char> payload;
     std::vector<Gaussian> chunk;
     std::vector<std::uint32_t> indices;
     for (std::size_t c = 0; c < reader.chunkCount(); ++c) {
-        reader.loadChunk(is, c, chunk, indices);
+        reader.readChunk(is, c, payload);
+        reader.decodeChunk(c, payload, chunk, indices);
         for (std::size_t i = 0; i < chunk.size(); ++i) {
             const std::uint32_t at = indices[i];
             if (seen[at])
@@ -542,6 +548,8 @@ GscV2Reader::GscV2Reader(std::istream &is)
             "scene_io: v2 chunk count mismatch between header and footer");
 
     const std::size_t leaf_rec = leafRecordBytes(quantized_);
+    const std::size_t body_bytes = bodyBytes(quantized_);
+    std::vector<unsigned char> records;
     std::uint64_t leaf_total = 0;
     chunks_.resize(chunk_count);
     for (std::uint32_t c = 0; c < chunk_count; ++c) {
@@ -560,8 +568,12 @@ GscV2Reader::GscV2Reader(std::istream &is)
             throw std::runtime_error("scene_io: inverted chunk AABB");
         readPod(is, info.offset, "footer");
         readPod(is, info.count, "footer");
-        if (info.offset < header_end || info.count > total_ ||
-            info.offset + info.count * leaf_rec > footer_offset)
+        // Division, not offset + count * record: a crafted count must
+        // not wrap the product back into range, since readChunk sizes
+        // its one read from it.
+        if (info.offset < header_end || info.offset > footer_offset ||
+            info.count > total_ ||
+            info.count > (footer_offset - info.offset) / leaf_rec)
             throw std::runtime_error(
                 "scene_io: v2 chunk payload out of range");
         leaf_total += info.count;
@@ -571,13 +583,20 @@ GscV2Reader::GscV2Reader(std::istream &is)
         for (int l = 0; l < proxy_levels_; ++l) {
             std::uint32_t pcount = 0;
             readPod(is, pcount, "footer");
-            if (pcount > kMaxChunks)
+            // Checked against the bytes left before allocating, so a
+            // corrupt count fails as truncation, not as a huge buffer.
+            const std::uint64_t bytes = pcount * body_bytes;
+            if (pcount > kMaxChunks ||
+                bytes > avail - (static_cast<std::uint64_t>(is.tellg()) -
+                                 base_))
                 throw std::runtime_error(
-                    "scene_io: implausible proxy count");
+                    "scene_io: v2 proxy records out of range");
+            readBytes(is, records, bytes, "footer");
             std::vector<Gaussian> &level = info.proxies[l];
-            level.reserve(pcount);
-            for (std::uint32_t i = 0; i < pcount; ++i)
-                level.push_back(decodeBody(is, quantized_, frame));
+            level.resize(pcount);
+            for (std::uint32_t k = 0; k < pcount; ++k)
+                decodeBody(records.data() + k * body_bytes, quantized_,
+                           frame, level[k]);
         }
     }
     if (leaf_total != total_)
@@ -586,25 +605,39 @@ GscV2Reader::GscV2Reader(std::istream &is)
 }
 
 void
-GscV2Reader::loadChunk(std::istream &is, std::size_t i,
-                       std::vector<Gaussian> &out,
-                       std::vector<std::uint32_t> &indices) const
+GscV2Reader::readChunk(std::istream &is, std::size_t i,
+                       std::vector<unsigned char> &payload) const
 {
     const GscV2ChunkInfo &info = chunks_.at(i);
     is.clear();
     is.seekg(static_cast<std::streamoff>(base_ + info.offset));
+    // The constructor bounded offset + count * record inside the
+    // payload region, so the size is sane even for a corrupt file.
+    readBytes(is, payload, info.count * leafRecordBytes(quantized_), "chunk");
+}
+
+void
+GscV2Reader::decodeChunk(std::size_t i,
+                         const std::vector<unsigned char> &payload,
+                         std::vector<Gaussian> &out,
+                         std::vector<std::uint32_t> &indices) const
+{
+    const GscV2ChunkInfo &info = chunks_.at(i);
+    const std::size_t count = static_cast<std::size_t>(info.count);
+    const std::size_t record = leafRecordBytes(quantized_);
+    if (payload.size() != count * record)
+        throw std::runtime_error("scene_io: v2 chunk payload size mismatch");
     const ChunkFrame frame(info.lo, info.hi);
-    out.clear();
-    indices.clear();
-    out.reserve(static_cast<std::size_t>(info.count));
-    indices.reserve(static_cast<std::size_t>(info.count));
-    for (std::uint64_t k = 0; k < info.count; ++k) {
+    out.resize(count);
+    indices.resize(count);
+    const unsigned char *p = payload.data();
+    for (std::size_t k = 0; k < count; ++k, p += record) {
         std::uint32_t index = 0;
-        readPod(is, index, "record");
+        std::memcpy(&index, p, sizeof(index));
         if (index >= total_)
             throw std::runtime_error("scene_io: v2 leaf index out of range");
-        indices.push_back(index);
-        out.push_back(decodeBody(is, quantized_, frame));
+        indices[k] = index;
+        decodeBody(p + sizeof(index), quantized_, frame, out[k]);
     }
 }
 

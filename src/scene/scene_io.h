@@ -147,12 +147,13 @@ struct GscV2ChunkInfo
 /**
  * v2 metadata reader: parses and validates the header and footer
  * (including every chunk's proxy pyramid — the always-resident part)
- * and decodes leaf chunks on demand.  Throws std::runtime_error with
- * a descriptive message on any malformed input: bad magic or version,
- * oversized header fields, truncated header/footer/chunk, chunk
- * counts that disagree between header and footer, payloads that
- * escape the payload region, and leaf indices that do not form a
- * permutation of [0, totalCount).
+ * and decodes leaf chunks on demand in two steps: readChunk (seek and
+ * one read) and decodeChunk (pure, in memory).  Throws
+ * std::runtime_error with a descriptive message on any malformed
+ * input: bad magic or version, oversized header fields, truncated
+ * header/footer/chunk, chunk counts that disagree between header and
+ * footer, payloads that escape the payload region, and leaf indices
+ * that do not form a permutation of [0, totalCount).
  */
 class GscV2Reader
 {
@@ -168,14 +169,24 @@ class GscV2Reader
     const GscV2ChunkInfo &chunk(std::size_t i) const { return chunks_[i]; }
 
     /**
-     * Decode leaf chunk @p i from @p is (a stream positioned on the
-     * same bytes this reader parsed).  @p out receives the Gaussians,
-     * @p indices their positions in the source cloud.
+     * Read leaf chunk @p i's payload (count x record bytes) from @p is
+     * (a stream over the same bytes this reader parsed) with one
+     * bounds-checked read.  The only step that touches the stream.
      * @throws std::runtime_error on truncation.
      */
-    void loadChunk(std::istream &is, std::size_t i,
-                   std::vector<Gaussian> &out,
-                   std::vector<std::uint32_t> &indices) const;
+    void readChunk(std::istream &is, std::size_t i,
+                   std::vector<unsigned char> &payload) const;
+
+    /**
+     * Decode a readChunk(@p i) payload in memory: @p out receives the
+     * Gaussians, @p indices their positions in the source cloud.
+     * Touches no shared state, so concurrent decodes need no lock.
+     * @throws std::runtime_error on a payload of the wrong size or a
+     *         leaf index out of range.
+     */
+    void decodeChunk(std::size_t i, const std::vector<unsigned char> &payload,
+                     std::vector<Gaussian> &out,
+                     std::vector<std::uint32_t> &indices) const;
 
   private:
     std::uint64_t base_ = 0;

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <random>
+#include <vector>
 
 #include "gsmath/fixed_point.h"
 #include "gsmath/half.h"
@@ -127,6 +130,87 @@ TEST(Half, SubnormalsAndNan)
     float nan_back = halfToFloat(
         floatToHalf(std::numeric_limits<float>::quiet_NaN()));
     EXPECT_TRUE(std::isnan(nan_back));
+}
+
+/**
+ * Oracle for the exhaustive checks: the original branchy
+ * normalize-by-loop conversion, kept here verbatim so the branch-free
+ * scalar and lane forms are held to it on every bit pattern.
+ */
+float
+referenceHalfToFloat(std::uint16_t h)
+{
+    const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
+    const std::uint32_t exp = (h >> 10) & 0x1fu;
+    std::uint32_t mant = h & 0x3ffu;
+
+    std::uint32_t bits;
+    if (exp == 0) {
+        if (mant == 0) {
+            bits = sign;  // +/- zero
+        } else {
+            // Subnormal half: normalize into a float exponent.
+            int e = -1;
+            do {
+                ++e;
+                mant <<= 1;
+            } while ((mant & 0x400u) == 0);
+            bits = sign | static_cast<std::uint32_t>(127 - 15 - e) << 23 |
+                   ((mant & 0x3ffu) << 13);
+        }
+    } else if (exp == 0x1f) {
+        bits = sign | 0x7f800000u | (mant << 13);  // inf / NaN
+    } else {
+        bits = sign | ((exp + 127 - 15) << 23) | (mant << 13);
+    }
+    float f;
+    std::memcpy(&f, &bits, sizeof(f));
+    return f;
+}
+
+TEST(Half, ScalarDecodeMatchesReferenceOnAllPatterns)
+{
+    // Compared as bits: NaN payloads (signalling ones included) and
+    // signed zeros must survive exactly.
+    int mismatches = 0;
+    for (std::uint32_t h = 0; h <= 0xffffu; ++h) {
+        const auto bits = std::bit_cast<std::uint32_t>(
+            halfToFloat(static_cast<std::uint16_t>(h)));
+        const auto want = std::bit_cast<std::uint32_t>(
+            referenceHalfToFloat(static_cast<std::uint16_t>(h)));
+        if (bits != want && ++mismatches <= 8)
+            ADD_FAILURE() << std::hex << "half 0x" << h << ": got 0x"
+                          << bits << ", want 0x" << want;
+    }
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Half, LaneDecodeMatchesReferenceOnAllPatterns)
+{
+    // Every pattern once through each lane form: the per-vector
+    // conversion and the 8-wide helper the .gsc decoder calls.
+    std::vector<std::uint16_t> in(0x10000);
+    for (std::uint32_t h = 0; h <= 0xffffu; ++h)
+        in[h] = static_cast<std::uint16_t>(h);
+    std::vector<float> lanes(in.size()), eights(in.size());
+    for (std::size_t i = 0; i < in.size(); i += simd::kWidth)
+        simd::halfToFloat(simd::IntV::loadU16(in.data() + i))
+            .store(lanes.data() + i);
+    for (std::size_t i = 0; i < in.size(); i += 8)
+        simd::halfToFloat8(in.data() + i, eights.data() + i);
+
+    int mismatches = 0;
+    for (std::uint32_t h = 0; h <= 0xffffu; ++h) {
+        const auto want = std::bit_cast<std::uint32_t>(
+            referenceHalfToFloat(static_cast<std::uint16_t>(h)));
+        const auto lane = std::bit_cast<std::uint32_t>(lanes[h]);
+        const auto eight = std::bit_cast<std::uint32_t>(eights[h]);
+        if ((lane != want || eight != want) && ++mismatches <= 8)
+            ADD_FAILURE() << std::hex << "half 0x" << h << ": lane 0x"
+                          << lane << ", 8-wide 0x" << eight << ", want 0x"
+                          << want << " (" << simd::backendName() << ")";
+    }
+    EXPECT_EQ(mismatches, 0);
 }
 
 TEST(Half, ConversionIsIdempotent)

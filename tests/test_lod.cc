@@ -2,16 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <random>
-#include <vector>
-
-#include <atomic>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "lod/lod_builder.h"
 #include "lod/lod_scene.h"
@@ -268,6 +270,42 @@ TEST(LodScene, CutIsIndependentOfCacheState)
     std::filesystem::remove(path);
 }
 
+TEST(LodScene, RepeatedCutLargerThanBudgetKeepsItsCachedLeaves)
+{
+    // The cut's leaves outnumber the budget.  Fetched in index order,
+    // LRU would evict every cached leaf just before the next cut
+    // reaches it (all misses); fetching cached leaves first makes
+    // the repeat hit every leaf the first cut left cached.
+    GaussianCloud cloud = generateScene(test::tinySpec(43, 1200), 1.0f);
+    const std::string path = tempLodPath("repeat");
+    LodBuildConfig cfg;
+    cfg.chunk_target = 100;
+    cfg.quantize = false;
+    ASSERT_TRUE(buildLodFile(cloud, path, cfg));
+
+    const std::size_t budget = 128u * 1024;  // under half the leaves
+    ASSERT_LT(budget, cloud.size() * Gaussian::kTotalBytes / 2);
+    LodScene lod(path, budget);
+    LodCutParams params;
+    params.force_level = 0;
+    const Camera cam = test::frontCamera();
+    const GaussianCloud first = lod.buildCut(cam, params);
+    const ResidencyManager::Stats s1 = lod.residencyStats();
+    const GaussianCloud again = lod.buildCut(cam, params);
+    const ResidencyManager::Stats s2 = lod.residencyStats();
+
+    const std::uint64_t hits = s2.hits - s1.hits;
+    const std::uint64_t faults = s2.faults - s1.faults;
+    EXPECT_GT(hits, 0u);
+    EXPECT_EQ(hits + faults, lod.chunkCount());
+    EXPECT_LE(s2.peak_resident_bytes, budget);
+    ASSERT_EQ(first.size(), again.size());
+    for (std::size_t i = 0; i < first.size(); ++i)
+        EXPECT_EQ(first[i].mean, again[i].mean);
+
+    std::filesystem::remove(path);
+}
+
 TEST(LodScene, QuantizedCutRendersCloseToSource)
 {
     GaussianCloud cloud = generateScene(test::tinySpec(36, 1500), 1.0f);
@@ -320,6 +358,143 @@ TEST(LodBuilder, StreamedBuildIsDeterministicAndComplete)
 
     std::filesystem::remove(p1);
     std::filesystem::remove(p2);
+}
+
+// ---- leaf decode ----
+
+/** FNV-1a over every decoded field of @p cloud, in cloud order. */
+std::uint64_t
+cloudDigest(const GaussianCloud &cloud)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](float v) {
+        const auto bits = std::bit_cast<std::uint32_t>(v);
+        for (int b = 0; b < 4; ++b) {
+            h ^= (bits >> (8 * b)) & 0xffu;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (const Gaussian &g : cloud.gaussians()) {
+        for (float v : {g.mean.x, g.mean.y, g.mean.z, g.scale.x, g.scale.y,
+                        g.scale.z, g.rotation.w, g.rotation.x, g.rotation.y,
+                        g.rotation.z, g.opacity})
+            mix(v);
+        for (float v : g.sh)
+            mix(v);
+    }
+    return h;
+}
+
+TEST(LodScene, QuantizedDecodeDigestIsPinned)
+{
+    // Digests of the leaf decode (fullCloud and loadCloud) and of the
+    // footer proxy decode (a level-1 cut) of a small quantized file,
+    // recorded before leaf decoding moved to an in-memory decoder: a
+    // decoder change that moves any bit of any field fails here.
+    GaussianCloud cloud = generateScene(test::tinySpec(40, 1000), 1.0f);
+    const std::string path = tempLodPath("digest");
+    LodBuildConfig cfg;
+    cfg.chunk_target = 128;
+    cfg.proxy_levels = 2;
+    ASSERT_TRUE(buildLodFile(cloud, path, cfg));
+
+    LodScene lod(path, 16u << 20);
+    GaussianCloud full = lod.fullCloud();
+    ASSERT_EQ(full.size(), cloud.size());
+    EXPECT_EQ(cloudDigest(full), 0x86bce6ccf349a85cULL);
+    EXPECT_EQ(cloudDigest(loadCloudFile(path)), cloudDigest(full));
+
+    LodCutParams params;
+    params.force_level = 1;
+    EXPECT_EQ(cloudDigest(lod.buildCut(test::frontCamera(), params)),
+              0x72a5cf7a485a7c2fULL);
+
+    std::filesystem::remove(path);
+}
+
+/** The directory of the v2 file at @p path. */
+GscV2Reader
+readDirectory(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return GscV2Reader(in);
+}
+
+TEST(LodScene, LeafIndexOutOfRangeFallsBackOrThrows)
+{
+    GaussianCloud cloud = generateScene(test::tinySpec(41, 600), 1.0f);
+    LodCutParams params;
+    params.force_level = 0;
+    for (int levels : {0, 1}) {
+        const std::string path = tempLodPath("badindex");
+        LodBuildConfig cfg;
+        cfg.chunk_target = 100;
+        cfg.proxy_levels = levels;
+        ASSERT_TRUE(buildLodFile(cloud, path, cfg));
+
+        // Point chunk 0's first record at a source index past the end.
+        const std::uint64_t first = readDirectory(path).chunk(0).offset;
+        {
+            std::fstream f(path,
+                           std::ios::in | std::ios::out | std::ios::binary);
+            const std::uint32_t bad = 0xffffffffu;
+            f.seekp(static_cast<std::streamoff>(first));
+            f.write(reinterpret_cast<const char *>(&bad), sizeof bad);
+            ASSERT_TRUE(f.good());
+        }
+
+        // The directory is intact, so the file opens; the bad chunk
+        // degrades to its proxy, or throws when there is none.
+        LodScene lod(path, 16u << 20);
+        if (levels > 0) {
+            LodCutStats stats;
+            lod.buildCut(test::frontCamera(), params, &stats);
+            EXPECT_EQ(stats.proxy_fallbacks, 1u);
+            EXPECT_EQ(stats.leaf_chunks, lod.chunkCount() - 1);
+        } else {
+            EXPECT_THROW(lod.buildCut(test::frontCamera(), params),
+                         std::runtime_error);
+        }
+        EXPECT_THROW(lod.fullCloud(), std::runtime_error);
+        EXPECT_THROW(loadCloudFile(path), std::runtime_error);
+        std::filesystem::remove(path);
+    }
+}
+
+TEST(LodScene, FileCutMidChunkFailsCleanly)
+{
+    GaussianCloud cloud = generateScene(test::tinySpec(42, 600), 1.0f);
+    const std::string path = tempLodPath("cut");
+    LodBuildConfig cfg;
+    cfg.chunk_target = 100;
+    cfg.proxy_levels = 1;
+    ASSERT_TRUE(buildLodFile(cloud, path, cfg));
+    const GscV2Reader dir = readDirectory(path);
+    // A few bytes into the last chunk's first record.
+    const std::uint64_t cut_at = dir.chunk(dir.chunkCount() - 1).offset + 10;
+
+    // Cut before it is opened: the footer is gone, nothing opens.
+    const std::string copy = tempLodPath("cut-copy");
+    std::filesystem::copy_file(
+        path, copy, std::filesystem::copy_options::overwrite_existing);
+    std::filesystem::resize_file(copy, cut_at);
+    EXPECT_THROW(LodScene(copy, 16u << 20), std::runtime_error);
+    EXPECT_THROW(loadCloudFile(copy), std::runtime_error);
+
+    // Cut while open: the directory is in memory, but the last
+    // chunk's read comes up short.  The cut falls back to its proxy.
+    LodScene lod(path, 16u << 20);
+    std::filesystem::resize_file(path, cut_at);
+    LodCutParams params;
+    params.force_level = 0;
+    LodCutStats stats;
+    lod.buildCut(test::frontCamera(), params, &stats);
+    EXPECT_EQ(stats.proxy_fallbacks, 1u);
+    EXPECT_EQ(stats.leaf_chunks, lod.chunkCount() - 1);
+    EXPECT_THROW(lod.fullCloud(), std::runtime_error);
+
+    std::filesystem::remove(path);
+    std::filesystem::remove(copy);
 }
 
 // ---- residency manager ----
@@ -425,6 +600,106 @@ TEST(Residency, HandoutSurvivesEviction)
     // The evicted chunk's data is still valid through our handle.
     EXPECT_EQ(held->gaussians.size(), 2u);
     EXPECT_EQ(held->bytes(), 2 * Gaussian::kTotalBytes);
+}
+
+/**
+ * Starts @p threads concurrent acquires of chunk 7 through @p loader
+ * and returns what each got (nullptr for an acquire that threw).
+ */
+template <typename Loader>
+std::vector<std::shared_ptr<const ResidentChunk>>
+acquireConcurrently(ResidencyManager &mgr, int threads, Loader loader,
+                    std::atomic<int> &threw)
+{
+    std::vector<std::shared_ptr<const ResidentChunk>> got(
+        static_cast<std::size_t>(threads));
+    std::vector<std::thread> pool;
+    for (int t = 0; t < threads; ++t)
+        pool.emplace_back([&, t] {
+            try {
+                got[static_cast<std::size_t>(t)] = mgr.acquire(7, loader);
+            } catch (const std::runtime_error &) {
+                threw.fetch_add(1);
+            }
+        });
+    for (std::thread &t : pool)
+        t.join();
+    return got;
+}
+
+/**
+ * Holds a decode open until @p joiners other acquires have joined it
+ * (joins count as hits), so every acquire overlaps the one decode.
+ * Gives up after 10 s so a manager that decodes twice fails the
+ * test's counts instead of hanging it.
+ */
+void
+awaitJoiners(const ResidencyManager &mgr, std::uint64_t joiners)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (mgr.stats().hits < joiners &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+}
+
+TEST(Residency, ConcurrentMissesShareOneDecode)
+{
+    constexpr int kThreads = 4;
+    // A roomy budget (the chunk is cached) and a zero one (transient
+    // loads): either way the chunk is decoded once and shared.
+    for (std::size_t budget : {std::size_t{1} << 20, std::size_t{0}}) {
+        ResidencyManager mgr(budget);
+        std::atomic<int> calls{0}, threw{0};
+        auto got = acquireConcurrently(
+            mgr, kThreads,
+            [&](ResidentChunk &c) {
+                calls.fetch_add(1);
+                awaitJoiners(mgr, kThreads - 1);
+                c.gaussians.resize(10);
+                c.indices.resize(10);
+            },
+            threw);
+        EXPECT_EQ(calls.load(), 1) << "budget " << budget;
+        EXPECT_EQ(threw.load(), 0);
+        for (const auto &chunk : got) {
+            ASSERT_NE(chunk, nullptr);
+            EXPECT_EQ(chunk, got.front());
+        }
+        const ResidencyManager::Stats s = mgr.stats();
+        EXPECT_EQ(s.faults, 1u);
+        EXPECT_EQ(s.hits, static_cast<std::uint64_t>(kThreads - 1));
+        EXPECT_EQ(s.transient_loads, budget == 0 ? 1u : 0u);
+    }
+}
+
+TEST(Residency, DecodeFailureReachesEveryWaiterThenRetries)
+{
+    constexpr int kThreads = 4;
+    ResidencyManager mgr(std::size_t{1} << 20);
+    std::atomic<int> calls{0}, threw{0};
+    auto got = acquireConcurrently(
+        mgr, kThreads,
+        [&](ResidentChunk &) {
+            calls.fetch_add(1);
+            awaitJoiners(mgr, kThreads - 1);
+            throw std::runtime_error("decode failed");
+        },
+        threw);
+    EXPECT_EQ(calls.load(), 1);
+    EXPECT_EQ(threw.load(), kThreads);
+    EXPECT_EQ(mgr.stats().faults, 0u);
+    EXPECT_EQ(mgr.stats().resident_bytes, 0u);
+
+    // Nothing was cached and nothing is left pending: the next
+    // acquire decodes afresh, and the one after hits.
+    int retries = 0;
+    auto chunk = mgr.acquire(7, CountingLoader{10, &retries});
+    EXPECT_EQ(retries, 1);
+    EXPECT_EQ(chunk->gaussians.size(), 10u);
+    EXPECT_EQ(mgr.acquire(7, CountingLoader{10, &retries}), chunk);
+    EXPECT_EQ(retries, 1);
+    EXPECT_EQ(mgr.stats().faults, 1u);
 }
 
 // ---- residency + LOD under fault injection ----

@@ -410,6 +410,29 @@ TEST(SceneIoV2, RejectsChunkCountMismatch)
     expectLoadThrows(bad_fmagic);
 }
 
+TEST(SceneIoV2, RejectsChunkCountWhosePayloadSizeWraps)
+{
+    std::string good = v2Image();  // lossless: 240-byte leaf records
+    ASSERT_FALSE(good.empty());
+    std::uint64_t footer_off = 0, total = 0, count0 = 0;
+    std::memcpy(&footer_off, good.data() + 24, sizeof footer_off);
+    std::memcpy(&total, good.data() + 16, sizeof total);
+    // Chunk 0's count follows "GSCF", the u32 chunk count, its AABB
+    // and its offset.
+    const std::size_t count_at = footer_off + 8 + 24 + 8;
+    std::memcpy(&count0, good.data() + count_at, sizeof count0);
+
+    // The smallest count whose payload size (count x 240) wraps past
+    // 2^64 to a few bytes; the header total is raised to match, so
+    // only the payload-range check can catch it.
+    const std::uint64_t wrap = ~std::uint64_t{0} / 240 + 1;
+    const std::uint64_t bad_total = total - count0 + wrap;
+    std::string bad = good;
+    std::memcpy(bad.data() + count_at, &wrap, sizeof wrap);
+    std::memcpy(bad.data() + 16, &bad_total, sizeof bad_total);
+    expectLoadThrows(bad);
+}
+
 TEST(SceneIoV2, RejectsOversizedHeaderFields)
 {
     std::string good = v2Image();
