@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,11 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Numeric values parse strictly: exit 2 on garbage or range.
+        auto number = [&]<typename T>(T lo,
+                                      T hi = std::numeric_limits<T>::max()) {
+            return bench::parseFlag(flag, value(), lo, hi);
+        };
         if (flag == "--help" || flag == "-h") {
             usage(argv[0]);
             return 0;
@@ -95,11 +101,11 @@ main(int argc, char **argv)
         } else if (flag == "--backends") {
             backends_arg = value();
         } else if (flag == "--frames") {
-            frames = std::atoi(value().c_str());
+            frames = number(1);
         } else if (flag == "--scale") {
-            scale = static_cast<float>(std::atof(value().c_str()));
+            scale = number(0.0f, 1.0f);
         } else if (flag == "--workers") {
-            workers = std::atoi(value().c_str());
+            workers = number(0, bench::kMaxCliThreads);
         } else if (flag == "--buffer-kb") {
             buffer_arg = value();
         } else if (flag == "--cache-dir") {
@@ -120,9 +126,8 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (frames < 1 || scale <= 0.0f || scale > 1.0f) {
-        std::fprintf(stderr,
-                     "--frames must be >= 1 and --scale in (0, 1]\n");
+    if (scale <= 0.0f) {
+        std::fprintf(stderr, "--scale must be in (0, 1]\n");
         return 2;
     }
 
@@ -158,7 +163,8 @@ main(int argc, char **argv)
         for (const std::string &kb : splitList(buffer_arg)) {
             ConfigVariant v;
             v.name = "buf=" + kb + "KB";
-            v.gcc.image_buffer_kb = std::atof(kb.c_str());
+            v.gcc.image_buffer_kb =
+                bench::parseFlag("--buffer-kb", kb, 1.0, 1e9);
             spec.variants.push_back(v);
         }
     }

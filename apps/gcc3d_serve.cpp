@@ -11,13 +11,14 @@
  *   gcc3d_serve --sessions 12 --scenes lego,train --cache-dir .gsc-cache
  *
  * Scheduling never changes pixels: per-session checksums equal serial
- * rendering (locked in by tests/test_serve.cc and bench/serve_throughput).
+ * rendering (locked in by the FrameScheduler cases of tests/test_serve.cc).
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -177,85 +178,90 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Numeric values parse strictly: exit 2 on garbage or range.
+        auto number = [&]<typename T>(T lo,
+                                      T hi = std::numeric_limits<T>::max()) {
+            return bench::parseFlag(flag, value(), lo, hi);
+        };
         if (flag == "--help" || flag == "-h") {
             usage(argv[0]);
             return 0;
         } else if (flag == "--sessions") {
-            sessions = std::atoi(value().c_str());
+            sessions = number(1);
         } else if (flag == "--frames") {
-            frames = std::atoi(value().c_str());
+            frames = number(1);
         } else if (flag == "--policy") {
             policy_arg = value();
         } else if (flag == "--renderers") {
             renderers_arg = value();
         } else if (flag == "--fps-target") {
-            fps_target = std::atof(value().c_str());
+            fps_target = number(0.0);
         } else if (flag == "--drop-late") {
             drop_late = true;
         } else if (flag == "--threads") {
-            threads = std::atoi(value().c_str());
+            threads = number(0, bench::kMaxCliThreads);
         } else if (flag == "--scenes") {
             scenes_arg = value();
         } else if (flag == "--subview") {
-            subview = std::atoi(value().c_str());
+            subview = number(0);
         } else if (flag == "--scale") {
-            scale = static_cast<float>(std::atof(value().c_str()));
+            scale = number(0.0f, 1.0f);
         } else if (flag == "--cache-dir") {
             cache_dir = value();
         } else if (flag == "--lod") {
             lod_path = value();
         } else if (flag == "--memory-budget") {
-            budget_mib = std::atof(value().c_str());
+            budget_mib = number(0.0);
         } else if (flag == "--lod-tau") {
-            lod_tau = std::atof(value().c_str());
+            lod_tau = number(0.0);
         } else if (flag == "--city") {
-            city = std::atoll(value().c_str());
+            city = number(0ll);
         } else if (flag == "--temporal") {
-            temporal = std::atoi(value().c_str());
+            temporal = number(0);
         } else if (flag == "--traj-arc") {
-            traj_arc = std::atof(value().c_str());
+            traj_arc = number(0.0, 1.0);
         } else if (flag == "--open-loop") {
-            open_loop_rate = std::atof(value().c_str());
+            open_loop_rate = number(0.0);
         } else if (flag == "--duration") {
-            duration_ms = std::atof(value().c_str());
+            duration_ms = number(0.0);
         } else if (flag == "--diurnal") {
-            diurnal = std::atof(value().c_str());
+            diurnal = number(0.0, 1.0);
         } else if (flag == "--diurnal-period") {
-            diurnal_period = std::atof(value().c_str());
+            diurnal_period = number(0.0);
         } else if (flag == "--load-seed") {
-            load_seed = std::strtoull(value().c_str(), nullptr, 10);
+            load_seed = number(0ull);
         } else if (flag == "--admission") {
             admission = true;
         } else if (flag == "--admission-rate") {
-            admission_rate = std::atof(value().c_str());
+            admission_rate = number(0.0);
         } else if (flag == "--admission-burst") {
-            admission_burst = std::atof(value().c_str());
+            admission_burst = number(0.0);
         } else if (flag == "--admission-depth") {
-            admission_depth = std::atoi(value().c_str());
+            admission_depth = number(0);
         } else if (flag == "--fair-share") {
-            fair_share = std::atof(value().c_str());
+            fair_share = number(0.0);
         } else if (flag == "--degrade") {
             degrade = true;
         } else if (flag == "--degrade-scale") {
-            degrade_scale = std::atof(value().c_str());
+            degrade_scale = number(0.0, 1.0);
         } else if (flag == "--degrade-tau") {
-            degrade_tau = std::atof(value().c_str());
+            degrade_tau = number(0.0);
         } else if (flag == "--chaos") {
-            chaos_seed = std::strtoull(value().c_str(), nullptr, 10);
+            chaos_seed = number(0ull);
         } else if (flag == "--chaos-io-fail") {
-            chaos_cfg.io_fail_rate = std::atof(value().c_str());
+            chaos_cfg.io_fail_rate = number(0.0, 1.0);
         } else if (flag == "--chaos-io-truncate") {
-            chaos_cfg.io_truncate_rate = std::atof(value().c_str());
+            chaos_cfg.io_truncate_rate = number(0.0, 1.0);
         } else if (flag == "--chaos-decode-fail") {
-            chaos_cfg.decode_fail_rate = std::atof(value().c_str());
+            chaos_cfg.decode_fail_rate = number(0.0, 1.0);
         } else if (flag == "--chaos-stall") {
-            chaos_cfg.stall_rate = std::atof(value().c_str());
+            chaos_cfg.stall_rate = number(0.0, 1.0);
         } else if (flag == "--chaos-stall-ms") {
-            chaos_cfg.stall_ms = std::atof(value().c_str());
+            chaos_cfg.stall_ms = number(0.0);
         } else if (flag == "--chaos-disconnect") {
-            chaos_cfg.disconnect_rate = std::atof(value().c_str());
+            chaos_cfg.disconnect_rate = number(0.0, 1.0);
         } else if (flag == "--chaos-budget") {
-            chaos_cfg.budget_pressure_rate = std::atof(value().c_str());
+            chaos_cfg.budget_pressure_rate = number(0.0, 1.0);
         } else if (flag == "--chaos-log") {
             chaos_log_path = value();
         } else if (flag == "--json") {
@@ -272,20 +278,12 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (sessions < 1 || frames < 1 || fps_target < 0.0 ||
-        scale <= 0.0f || scale > 1.0f) {
-        std::fprintf(stderr,
-                     "--sessions/--frames must be >= 1, --fps-target "
-                     ">= 0 and --scale in (0, 1]\n");
+    // The parser enforces the closed bounds; these are the open ones.
+    if (scale <= 0.0f || traj_arc <= 0.0) {
+        std::fprintf(stderr, "--scale and --traj-arc must be > 0\n");
         return 2;
     }
-    if (temporal < 0 || traj_arc <= 0.0 || traj_arc > 1.0) {
-        std::fprintf(stderr, "--temporal must be >= 0 and --traj-arc "
-                             "in (0, 1]\n");
-        return 2;
-    }
-    if (open_loop_rate < 0.0 || duration_ms <= 0.0 || diurnal < 0.0 ||
-        diurnal >= 1.0 || diurnal_period <= 0.0) {
+    if (duration_ms <= 0.0 || diurnal >= 1.0 || diurnal_period <= 0.0) {
         std::fprintf(stderr, "--open-loop/--duration/--diurnal args "
                              "out of range\n");
         return 2;
@@ -302,7 +300,7 @@ main(int argc, char **argv)
     fleet_spec.frames = frames;
     fleet_spec.scale = scale;
     fleet_spec.fps_target = fps_target;
-    fleet_spec.gw.subview_size = subview < 0 ? 0 : subview;
+    fleet_spec.gw.subview_size = subview;
     fleet_spec.temporal = temporal;
     fleet_spec.traj_arc = static_cast<float>(traj_arc);
     fleet_spec.degrade = degrade;

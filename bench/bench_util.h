@@ -1,24 +1,25 @@
 /**
  * @file
- * Shared helpers for the figure/table reproduction harness.
- *
- * Every binary in bench/ regenerates one table or figure of the
- * paper's evaluation section (see DESIGN.md §3) and prints the same
- * rows/series the paper reports, plus the paper's published values
- * for comparison where applicable.
+ * Shared helpers for the apps/ CLIs and the bench/ binaries (one per
+ * table or figure of the paper's evaluation, printed beside the
+ * paper's values, plus contracts): strict numeric flags, scene
+ * lists, sweeps and banners.
  */
 
 #ifndef GCC3D_BENCH_BENCH_UTIL_H
 #define GCC3D_BENCH_BENCH_UTIL_H
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
+#include <sstream>
 #include <string>
-#include <thread>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
-#include "gsmath/simd.h"
 #include "runtime/result_table.h"
 #include "runtime/sweep_runner.h"
 #include "scene/scene_presets.h"
@@ -26,19 +27,48 @@
 namespace gcc3d::bench {
 
 /**
- * Host metadata as a JSON object fragment, embedded in every
- * committed BENCH_*.json header so snapshot numbers are interpretable
- * later: thread-scaling rows that all read ~1.0x mean something very
- * different on a 1-core container than on a workstation, and SIMD
- * speedups depend on the compiled backend.
+ * Upper bound on the worker/thread counts a CLI accepts, so a typo
+ * cannot ask the host for an unbounded number of threads.
  */
-inline std::string
-hostJson()
+inline constexpr int kMaxCliThreads = 256;
+
+/**
+ * Strictly parse @p text as one number in [@p lo, @p hi]: the whole
+ * string must be a decimal number of type T (no leading blanks, no
+ * '+', no trailing characters, no sign for unsigned T).  Empty
+ * input, garbage, NaN and out-of-range values yield std::nullopt.
+ */
+template <typename T>
+std::optional<T>
+parseNumber(std::string_view text, T lo, T hi)
 {
-    return "{\"hardware_concurrency\": " +
-           std::to_string(std::thread::hardware_concurrency()) +
-           ", \"simd_backend\": \"" + simd::backendName() +
-           "\", \"simd_width\": " + std::to_string(simd::kWidth) + "}";
+    T value{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi))
+        return std::nullopt;
+    return value;
+}
+
+/**
+ * parseNumber() for the value of CLI flag @p flag: on rejection,
+ * names the flag and its accepted range on stderr and exits with
+ * status 2, the CLIs' usage-error code.
+ */
+template <typename T>
+T
+parseFlag(const std::string &flag, const std::string &text, T lo, T hi)
+{
+    const std::optional<T> value = parseNumber(text, lo, hi);
+    if (!value) {
+        std::ostringstream range;
+        range << "[" << +lo << ", " << +hi << "]";
+        std::fprintf(stderr, "invalid value for %s: '%s' (expected a "
+                             "number in %s)\n",
+                     flag.c_str(), text.c_str(), range.str().c_str());
+        std::exit(2);
+    }
+    return *value;
 }
 
 /**
@@ -51,12 +81,10 @@ inline int
 benchWorkers()
 {
     const char *env = std::getenv("GCC3D_WORKERS");
-    if (env != nullptr) {
-        int workers = std::atoi(env);
-        if (workers > 0)
-            return workers;
-    }
-    return ThreadPool::hardwareWorkers();
+    if (env == nullptr)
+        return ThreadPool::hardwareWorkers();
+    return parseNumber(env, 1, kMaxCliThreads)
+        .value_or(ThreadPool::hardwareWorkers());
 }
 
 /**

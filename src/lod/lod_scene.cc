@@ -56,9 +56,9 @@ float
 lodPsnrFloorDb(int level)
 {
     // Floors = the per-level minimum measured across the
-    // Palace/Lego/Train presets at paper scale (bench/lod_scale,
-    // BENCH_lod.json) minus ~2 dB margin; the contract is declared at
-    // GCC3D_SCALE=1, which is what CI enforces.  The forced-level
+    // Palace/Lego/Train presets at paper scale minus ~2 dB margin;
+    // the contract is declared at GCC3D_SCALE=1, which is what CI
+    // enforces (bench/contracts, lod_psnr_floors).  The forced-level
     // render is a stress view — every chunk at the coarse level from
     // the evaluation camera — not the far-field configuration the
     // distance cut actually produces, so these are regression

@@ -74,10 +74,10 @@ struct LodCutStats
 /**
  * Declared PSNR floor (dB) of rendering a preset scene with every
  * chunk forced to proxy level @p level, against the full-resolution
- * render.  bench/lod_scale measures the actual PSNR per level on the
- * preset scenes and fails if any level lands under its floor, so
- * regressions in the merge math or the quantizer show up as bench
- * failures rather than silent quality drift.
+ * render.  The lod_psnr_floors contract of bench/contracts measures
+ * the actual PSNR per level on the preset scenes at paper scale and
+ * fails if any level lands under its floor, so regressions in the
+ * merge math or the quantizer fail CI rather than drift silently.
  */
 float lodPsnrFloorDb(int level);
 

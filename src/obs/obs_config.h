@@ -4,8 +4,8 @@
  *
  * The obs layer (PerfRecorder, MetricsRegistry, trace export) is
  * always-on by default under a hard cheapness contract: the recorder
- * hooks cost < 3% on the preset frame benches (bench/obs_overhead
- * enforces this with a non-zero exit).  For deployments that want the
+ * hooks cost < 3% on the preset scenes (the obs_overhead contract of
+ * bench/contracts enforces this with a non-zero exit).  For deployments that want the
  * hooks gone entirely, the CMake option GCC3D_OBS=OFF defines
  * GCC3D_OBS_DISABLED (PUBLIC, so the whole tree agrees on the ABI)
  * and every obs type in this module collapses to an empty no-op stub

@@ -135,8 +135,9 @@ class PerfRecorder
     /** The process-wide recorder every hook feeds. */
     static PerfRecorder &global();
 
-    /** Runtime kill switch (also the obs_overhead baseline): when
-     *  off, record()/addSample() return immediately. */
+    /** Runtime kill switch (also the baseline of bench/contracts'
+     *  obs_overhead): when off, record()/addSample() return
+     *  immediately. */
     void
     setEnabled(bool on)
     {

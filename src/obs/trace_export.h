@@ -35,8 +35,7 @@ std::string traceJson(const PerfRecorder &recorder);
 std::string traceJson();
 
 /** {"stages": <perfSummaryJson>, "metrics": <registry toJson>} —
- *  the block apps write for --metrics-out and benches embed in
- *  BENCH_*.json. */
+ *  the block apps write for --metrics-out. */
 std::string observabilityJson();
 
 } // namespace gcc3d::obs

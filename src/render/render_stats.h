@@ -20,10 +20,11 @@ namespace gcc3d {
 
 /**
  * Wall-clock breakdown of one rendered frame by pipeline stage,
- * filled by the renderers (both fast and reference paths) so
- * bench/frame_throughput can report where the cycles went.  Pure
- * measurement — no test compares these, and they accumulate across
- * frames when one stats object is reused.
+ * filled by the renderers (both fast and reference paths) so a
+ * caller can see where the cycles went; Session turns it into the
+ * per-frame stage costs perfbench reports.  Pure measurement — no
+ * test compares these, and they accumulate across frames when one
+ * stats object is reused.
  */
 struct StageTimes
 {

@@ -31,9 +31,11 @@
  *     renders exactly; in-between frames are synthesized by a
  *     per-pixel depth backward warp from the last exact frame.
  *     NOT bit-exact — the contract is perceptual, >= 40 dB PSNR vs
- *     exact rendering on every preset scene along the bench
- *     trajectories (enforced by bench/frame_throughput and
- *     bench/serve_throughput).
+ *     exact rendering on every preset scene at headset step sizes
+ *     (enforced by the TemporalEquivalence cases
+ *     PresetStreamsHoldTheStreamingContracts and
+ *     ForcedWarpTierHolds40DbOnPreset in
+ *     tests/test_renderer_equivalence.cc).
  *
  * Ownership and threading: a cache belongs to exactly one frame
  * stream (one serving session, one bench replay loop).  Frames of

@@ -70,8 +70,8 @@ class TemporalCounterMirror
  * cover at least this many pixels of tiles, or pool dispatch costs
  * more than the chunk's work and the frame runs inline on the caller
  * (the parallel_for grain heuristic; small frames previously fanned
- * out one-tile chunks whose submit/future overhead showed up as the
- * flat-to-negative thread scaling in BENCH_frame.json).
+ * out one-tile chunks whose submit/future overhead made thread
+ * scaling flat to negative).
  */
 constexpr std::size_t kMinPixelsPerRasterChunk = 4096;
 

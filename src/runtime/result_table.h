@@ -50,8 +50,7 @@ double percentile(const std::vector<double> &sorted, double q);
 /**
  * @p a as a JSON object (count/mean/min/p50/p90/p99/p999/max) at
  * round-trip precision.  New exporters should emit aggregates through
- * this instead of hand-rolling the fields (frame_throughput's flat
- * ms_/fps_ keys predate it and keep their schema).
+ * this instead of hand-rolling the fields.
  */
 std::string aggregateJson(const Aggregate &a);
 

@@ -132,7 +132,7 @@ SweepRunner::runJob(const SimJob &job, const SceneData &scene)
     const Camera &cam = scene.trajectory.frame(
         static_cast<std::size_t>(job.frame));
 
-    // wall_ms is bench output (BENCH_*.json), so it reads the
+    // wall_ms is bench output (result CSV/JSON), so it reads the
     // behavioral clock — real in GCC3D_OBS=OFF builds; the recorder
     // sample below is the observability copy.
     const MonoTime start = obs::tickNow();

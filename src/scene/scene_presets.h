@@ -45,8 +45,8 @@ std::string sceneName(SceneId id);
 SceneId sceneFromName(const std::string &name);
 
 /**
- * The city-scale fly-through preset behind bench/lod_scale and the
- * --city serving flag: a Street-layout corridor with @p gaussian_count
+ * The city-scale fly-through preset behind perfbench's lod_stream,
+ * the LodServe budget test and the --city serving flag: a Street-layout corridor with @p gaussian_count
  * splats (default 10M — ~30x the largest paper preset, far past what
  * a full-precision in-RAM GaussianCloud serves comfortably).  Not a
  * paper scene, so it is deliberately outside SceneId/allScenes(); it

@@ -2,8 +2,7 @@
  * @file
  * Open-loop load generator: Poisson arrivals, diurnal ramps, churn.
  *
- * The closed-loop fleet walk in bench/serve_throughput starts every
- * session at t=0 and lets the scheduler's own backpressure set the
+ * A closed-loop fleet (buildFleet) starts every session at t=0 and lets the scheduler's own backpressure set the
  * pace — that can never show overload collapse, because the offered
  * load adapts to the achieved throughput.  This generator is
  * open-loop: sessions arrive on a fixed timeline (inhomogeneous

@@ -7,8 +7,7 @@
  * into the questions a serving operator asks: per-session and fleet
  * p50/p90/p99/p99.9 latency, achieved FPS against the target,
  * deadline-miss rate, and dropped frames under overload — plus JSON
- * export (the BENCH_serve.json building block) and a human-readable
- * report table.
+ * export (gcc3d_serve --json) and a human-readable report table.
  */
 
 #ifndef GCC3D_SERVE_SERVE_STATS_H

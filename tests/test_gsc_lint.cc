@@ -184,7 +184,7 @@ TEST(GscLint, RecorderExemptsObsWallclockAndNonSrc)
         withRule(lintSource("src/runtime/wallclock.h", text), "recorder")
             .empty());
     EXPECT_TRUE(
-        withRule(lintSource("bench/obs_overhead.cpp", text), "recorder")
+        withRule(lintSource("bench/contracts.cpp", text), "recorder")
             .empty());
 }
 

@@ -213,6 +213,30 @@ TEST(GwEquivalence, EmptySceneMatches)
     expectStatsIdentical(st_ref, st_opt);
 }
 
+TEST(GwEquivalence, PresetScenesMatchReferenceAtSubview128)
+{
+    // The paper's 128 px Cmode sub-view needs a preset-sized view to
+    // tile; serial, four workers and the reference agree bit for bit.
+    GaussianWiseConfig cfg;
+    cfg.subview_size = 128;
+    GaussianWiseRenderer renderer(cfg);
+    ThreadPool pool(4);
+    for (SceneId id : {SceneId::Palace, SceneId::Lego, SceneId::Train}) {
+        SCOPED_TRACE(sceneName(id));
+        SceneSpec spec = scenePreset(id);
+        GaussianCloud cloud = generateScene(spec, 0.005f);
+        Camera cam = makeCamera(spec);
+        GaussianWiseStats st_ref, st_opt, st_pooled;
+        Image ref = renderer.renderReference(cloud, cam, st_ref);
+        Image opt = renderer.render(cloud, cam, st_opt);
+        Image pooled = renderer.render(cloud, cam, st_pooled, &pool);
+        EXPECT_TRUE(imagesBitIdentical(ref, opt));
+        EXPECT_TRUE(imagesBitIdentical(ref, pooled));
+        expectStatsIdentical(st_ref, st_opt);
+        expectStatsIdentical(st_ref, st_pooled);
+    }
+}
+
 TEST(GwEquivalence, FastAlphaMeetsPsnrBoundOnPresetScenes)
 {
     // --fast-alpha trades bit-exactness for the vectorized polynomial

@@ -22,6 +22,8 @@
 #include "render/metrics.h"
 #include "render/tile_renderer.h"
 #include "runtime/sweep_runner.h"
+#include "serve/fleet.h"
+#include "serve/frame_scheduler.h"
 #include "test_util.h"
 
 namespace gcc3d {
@@ -884,6 +886,38 @@ TEST(LodScene, ConcurrentFaultyCutsAgreeAndHonourTheBudget)
         EXPECT_EQ(size, cloud.size());
     EXPECT_LE(lod.residencyStats().peak_resident_bytes, budget);
     EXPECT_GT(lod.residencyStats().pressure_events, 0u);
+
+    std::filesystem::remove(path);
+}
+
+TEST(LodServe, CityFleetPeakResidentStaysWithinBudget)
+{
+    // A streamed city file served to two concurrent sessions under a
+    // budget that binds (chunks are evicted): peak stays within it.
+    const std::size_t kSplats = 20000;
+    const std::size_t budget = std::size_t{2} << 20;
+    const SceneSpec city = citySpec(kSplats);
+    const std::string path = tempLodPath("city-fleet");
+    ASSERT_TRUE(buildLodFileStreamed(city, kSplats, path, LodBuildConfig{}));
+
+    FleetSpec spec;
+    spec.sessions = 2;
+    spec.frames = 2;
+    spec.scenes = {city};
+    spec.lod_path = path;
+    spec.lod_budget_bytes = budget;
+    SceneRegistry registry;
+    // Hold the shared LodScene so its counters outlive the fleet.
+    SceneHandle handle = registry.acquireLod(path, budget, city, spec.frames);
+    std::vector<Session> fleet = buildFleet(spec, registry);
+    ThreadPool pool(2);
+    FrameScheduler scheduler;
+    ServeReport report = scheduler.run(fleet, pool);
+
+    EXPECT_EQ(report.framesRendered(), 2 * 2);
+    const ResidencyManager::Stats rs = handle.lod->residencyStats();
+    EXPECT_GT(rs.evictions, 0u);
+    EXPECT_LE(rs.peak_resident_bytes, budget);
 
     std::filesystem::remove(path);
 }

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "render/metrics.h"
 #include "render/tile_renderer.h"
@@ -480,9 +482,9 @@ TEST(TemporalEquivalence, WarpModeKeyframesAreExactAndPaced)
         } else {
             // Sanity floor only: at this test's tiny image size the
             // per-tile depth planes are very coarse.  The >= 40 dB
-            // streaming contract is enforced by frame_throughput
-            // --trajectory and serve_throughput --temporal on the
-            // preset scenes at streaming step sizes.
+            // streaming contract is enforced on the preset scenes at
+            // streaming step sizes by
+            // PresetStreamsHoldTheStreamingContracts.
             EXPECT_GE(psnrDb(cold, warm), 20.0) << "frame " << f;
         }
     }
@@ -490,6 +492,74 @@ TEST(TemporalEquivalence, WarpModeKeyframesAreExactAndPaced)
     EXPECT_EQ(c.exact_frames, 3u);   // frames 0, 3, 6
     EXPECT_EQ(c.warped_frames, 4u);  // frames 1, 2, 4, 5
     EXPECT_EQ(c.copied_frames, 0u);
+}
+
+TEST(TemporalEquivalence, PresetStreamsHoldTheStreamingContracts)
+{
+    // Headset step sizes: 8 poses over 0.1% of each preset's path,
+    // each pose held 2 display frames, and unheld (a serving session
+    // at --traj-arc 0.001).  Exact mode is bit-identical to cold;
+    // warp mode (every 4th pose exact) stays >= 40 dB.  An exact-mode
+    // held repeat returns the cached image without touching the
+    // cache, so the held stream covers both shapes' exact frames.
+    const int kPoses = 8;
+    TileRenderer renderer;
+    for (SceneId id : {SceneId::Palace, SceneId::Lego, SceneId::Train}) {
+        SceneSpec spec = scenePreset(id);
+        GaussianCloud cloud = generateScene(spec, 0.01f);
+        Trajectory path = Trajectory::forSceneArc(spec, kPoses, 0.001f);
+        std::vector<Image> cold(kPoses);
+        for (int p = 0; p < kPoses; ++p) {
+            StandardFlowStats st;
+            cold[p] = renderer.render(cloud, path.frame(p), st);
+        }
+        for (int hold : {2, 1}) {
+            TemporalCache exact;
+            TemporalCache warp;
+            warp.options.every = 4;
+            double min_psnr = std::numeric_limits<double>::infinity();
+            for (int p = 0; p < kPoses; ++p) {
+                for (int h = 0; h < hold; ++h) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << sceneName(id) << ", hold " << hold
+                                 << ", pose " << p);
+                    StandardFlowStats st;
+                    if (hold == 2) {
+                        EXPECT_TRUE(imagesBitIdentical(
+                            cold[p], renderer.renderTemporal(
+                                         cloud, path.frame(p), st, exact)));
+                    }
+                    min_psnr = std::min(
+                        min_psnr,
+                        psnrDb(cold[p], renderer.renderTemporal(
+                                            cloud, path.frame(p), st, warp)));
+                }
+            }
+            EXPECT_GT(warp.counters().warped_frames, 0u)
+                << sceneName(id) << ", hold " << hold;
+            EXPECT_GE(min_psnr, 40.0) << sceneName(id) << ", hold " << hold;
+        }
+    }
+}
+
+TEST(TemporalEquivalence, ForcedWarpTierHolds40DbOnPreset)
+{
+    // The serving ladder's Warp tier reprojects the frame a keep_exact
+    // cache retained; at a headset step it must hold >= 40 dB too.
+    SceneSpec spec = scenePreset(SceneId::Palace);
+    GaussianCloud cloud = generateScene(spec, 0.01f);
+    Trajectory path = Trajectory::forSceneArc(spec, 2, 0.0003f);
+
+    TileRenderer renderer;
+    TemporalCache cache;
+    cache.options.keep_exact = true;
+    StandardFlowStats st;
+    (void)renderer.renderTemporal(cloud, path.frame(0), st, cache);
+    Image cold = renderer.render(cloud, path.frame(1), st);
+    Image warp = renderer.renderTemporal(cloud, path.frame(1), st, cache,
+                                         nullptr, /*force_warp=*/true);
+    EXPECT_EQ(cache.counters().warped_frames, 1u);
+    EXPECT_GE(psnrDb(cold, warp), 40.0);
 }
 
 } // namespace

@@ -206,6 +206,31 @@ TEST(FrameScheduler, WorkerCountNeverChangesChecksums)
     }
 }
 
+TEST(FrameScheduler, PacedEdfMatchesSerialChecksums)
+{
+    // Pacing moves release times and EDF reorders dispatch, but with
+    // no shedding every frame still renders at Full: a paced EDF
+    // fleet is bit-identical to serial rendering.
+    FleetSpec spec = tinyFleet(3, 2);
+    spec.fps_target = 200.0;
+    SceneRegistry registry;
+    std::vector<Session> fleet = buildFleet(spec, registry);
+    SerialBaseline base = renderSerial(fleet);
+
+    SchedulerOptions options;
+    options.policy = SchedulerPolicy::Edf;
+    ThreadPool pool(2);
+    FrameScheduler scheduler(options);
+    ServeReport report = scheduler.run(fleet, pool);
+
+    EXPECT_EQ(report.framesRendered(), 3 * 2);
+    EXPECT_EQ(report.framesDropped(), 0);
+    ASSERT_EQ(report.sessions.size(), fleet.size());
+    for (std::size_t i = 0; i < fleet.size(); ++i)
+        EXPECT_EQ(report.sessions[i].checksum, base.checksums[i])
+            << "session " << i;
+}
+
 // ---- SLO accounting ----
 
 TEST(FrameScheduler, EdfAccountsDeadlineMissesUnderOverload)

@@ -154,7 +154,7 @@ TEST(Trajectory, ForSceneArcShrinksStepDeltas)
 {
     // Covering a quarter of the path in the same frame count shrinks
     // each per-step pose change by about the same factor — the knob
-    // the temporal benches rely on for slow-motion streams.
+    // the temporal streaming tests use for slow-motion streams.
     for (SceneId id : {SceneId::Lego, SceneId::Train}) {
         SceneSpec spec = scenePreset(id);
         Trajectory full = Trajectory::forSceneArc(spec, 8, 1.0f);
