@@ -124,6 +124,34 @@ struct MaskV
 #endif
     }
 
+    /** Lane i true exactly when bit i of @p b is set (the inverse of
+     *  bits(); bits at and above kWidth are ignored). */
+    static MaskV
+    fromBits(unsigned b)
+    {
+#if defined(GCC3D_SIMD_AVX2)
+        const __m256i lane_bit =
+            _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+        return {_mm256_castsi256_ps(_mm256_cmpeq_epi32(
+            _mm256_and_si256(
+                _mm256_set1_epi32(static_cast<int>(b)), lane_bit),
+            lane_bit))};
+#elif defined(GCC3D_SIMD_SSE2)
+        const __m128i lane_bit = _mm_setr_epi32(1, 2, 4, 8);
+        return {_mm_castsi128_ps(_mm_cmpeq_epi32(
+            _mm_and_si128(_mm_set1_epi32(static_cast<int>(b)), lane_bit),
+            lane_bit))};
+#elif defined(GCC3D_SIMD_NEON)
+        const std::uint32_t lane_bit[4] = {1, 2, 4, 8};
+        return {vtstq_u32(vdupq_n_u32(b), vld1q_u32(lane_bit))};
+#else
+        MaskV r;
+        for (int i = 0; i < 4; ++i)
+            r.m[i] = (b >> i) & 1u ? 0xffffffffu : 0u;
+        return r;
+#endif
+    }
+
     /** Lane i -> bit i of the result. */
     unsigned
     bits() const

@@ -185,43 +185,36 @@ class BlockTraversal
 
     /**
      * Fast statically-dispatched traversal: identical walk order,
-     * pass/fail decisions and statistics to traverse(), with three
-     * hot-loop optimizations the scalar path deliberately omits:
+     * pass/fail decisions and statistics to traverse(), handing the
+     * visitor whole SIMD lane groups instead of single pixels — the
+     * software shape of the Alpha Unit's n x n PE array, which
+     * evaluates a block's alphas in parallel (Sec. 4.4):
      *
-     *  - the visitors are template parameters (no std::function call
-     *    per pixel);
-     *  - the visitor receives the quadratic form q instead of the
-     *    alpha, so the exp() is paid lazily — only for pixels whose
-     *    transmittance is still live (alpha = min(0.99, omega *
-     *    exp(-0.5 q)), bit-identical where it is computed);
-     *  - within a visited block, each pixel row is restricted to the
-     *    margin-padded interval where the conic can still reach the
-     *    alpha threshold (the tile renderer's row-interval bound);
-     *    pixels outside provably fail E(p), and the block's alpha
-     *    evaluations are accounted analytically, so the reported
-     *    stats and the visit sequence are unchanged;
-     *  - each row interval is evaluated kWidth pixels at a time
-     *    through the gsmath SIMD layer — every lane runs the exact
-     *    scalar op sequence, so q (and every E(p) decision) stays
-     *    bit-identical to the scalar reference.
+     *  - the visitor is a template parameter (no std::function call
+     *    per group);
+     *  - each row of a visited block is evaluated kWidth pixels at a
+     *    time through the gsmath SIMD layer, every lane running the
+     *    exact scalar op sequence, so q (and every E(p) decision) is
+     *    bit-identical to the scalar reference;
+     *  - the visitor receives the lane group's quadratic forms q and
+     *    its pass bits (bit i set: pixel (x + i, y) meets the alpha
+     *    threshold) rather than alphas, so the caller pays exp() only
+     *    for lanes it still blends: alpha = min(0.99, omega *
+     *    exp(-0.5 q)) there, as traverse() computes it;
+     *  - influence_pixels and active_blocks are counted by popcount
+     *    of the pass bits, so the stats match traverse() exactly.
      *
-     * With PassAlpha = true (the renderers' opt-in fast-alpha mode)
-     * the traversal additionally evaluates alpha for the whole lane
-     * group with the vectorized polynomial exponential and hands the
-     * visitor alpha = min(0.99, omega * simdExp(-q/2)) instead of q.
-     * Walk order, pass/fail decisions and stats are unchanged; only
-     * the alpha value is approximate (simdExp contract: relative
-     * error < 3e-7).
+     * A lane group never spans two blocks.  Groups of one block are
+     * handed out in row-major order, each with at least one pass bit.
      *
-     * @p visit   callable (int x, int y, float q_or_alpha)
-     * @p block_visit callable (int bx, int by)
+     * @p visit   callable (int x, int y, const simd::FloatV &q,
+     *            unsigned pass_bits)
      */
-    template <bool PassAlpha = false, typename Visit,
-              typename BlockVisit>
+    template <typename Visit>
     BoundaryStats
-    traverseWith(const Ellipse &e, float omega,
-                 const std::vector<std::uint8_t> *t_mask, Visit &&visit,
-                 BlockVisit &&block_visit) const
+    traverseLanes(const Ellipse &e, float omega,
+                  const std::vector<std::uint8_t> *t_mask,
+                  Visit &&visit) const
     {
         namespace bd = boundary_detail;
         BoundaryStats stats;
@@ -254,12 +247,12 @@ class BlockTraversal
             return stamp[static_cast<std::size_t>(by) * blocks_x_ + bx];
         };
 
-        // Conic and center hoisted into locals: the visitor's image
-        // writes are float stores, which type-based aliasing would
-        // otherwise force to reload the Ellipse members per use.
-        // Every evaluation below matches Ellipse::quadraticForm (and
-        // rectMayIntersect's use of it) operation for operation, so
-        // all pass/fail and expansion decisions are unchanged.
+        // Conic and center hoisted into locals: the visitor's float
+        // stores would otherwise force reloads of the Ellipse members
+        // under type-based aliasing.  Every evaluation below matches
+        // Ellipse::quadraticForm (and rectMayIntersect's use of it)
+        // operation for operation, so all pass/fail and expansion
+        // decisions are unchanged.
         const float fc00 = e.conic(0, 0), fc01 = e.conic(0, 1);
         const float fc10 = e.conic(1, 0), fc11 = e.conic(1, 1);
         const float fcx = e.center.x, fcy = e.center.y;
@@ -314,7 +307,6 @@ class BlockTraversal
         const simd::FloatV c00v(fc00), c01v(fc01), c10v(fc10),
             c11v(fc11);
         const simd::FloatV cxv(fcx), cutoff_v(cutoff), half_v(0.5f);
-        const simd::FloatV omega_v(omega);
 
         while (!queue.empty()) {
             auto [bx, by] = queue.front();
@@ -331,62 +323,37 @@ class BlockTraversal
                           bx] != 0;
 
             if (!masked) {
-                // The whole block streams through the n x n PE array;
-                // its alpha evaluations are accounted analytically so
-                // the interval skips below don't change the stats.
+                // The whole block streams through the n x n PE array.
                 ++stats.visited_blocks;
                 stats.alpha_evals +=
                     static_cast<std::int64_t>(x1 - x0 + 1) *
                     (y1 - y0 + 1);
-                bool visited_block = false;
+                std::int64_t passing = 0;
                 for (int y = y0; y <= y1; ++y) {
-                    const int row_x0 = x0;
-                    const int row_x1 = x1;
-                    // Vectorized row scan: q for kWidth pixels per
-                    // step, each lane the exact scalar op sequence
-                    // (bit-equal q).  The pass mask mirrors the
-                    // scalar `q > cutoff -> skip` comparison exactly,
-                    // then passing lanes are visited in x order.
                     const float fdy =
                         (static_cast<float>(y) + 0.5f) - fcy;
                     const simd::FloatV dyv(fdy);
-                    for (int x = row_x0; x <= row_x1;
-                         x += simd::kWidth) {
-                        const int nlane = std::min<int>(
-                            simd::kWidth, row_x1 - x + 1);
+                    for (int x = x0; x <= x1; x += simd::kWidth) {
+                        const int nlane =
+                            std::min<int>(simd::kWidth, x1 - x + 1);
                         simd::FloatV dxv =
                             (simd::FloatV::iotaFrom(x) + half_v) - cxv;
                         simd::FloatV qv =
                             dxv * (c00v * dxv + c01v * dyv) +
                             dyv * (c10v * dxv + c11v * dyv);
-                        unsigned bits =
+                        // Scalar `q > cutoff -> skip`, NaN included.
+                        const unsigned bits =
                             simd::MaskV::firstN(nlane).bits() &
                             ~(qv > cutoff_v).bits();
                         if (bits == 0)
                             continue;
-                        float qa_lane[simd::kWidth];
-                        if constexpr (PassAlpha)
-                            simd::min(simd::FloatV(0.99f),
-                                      omega_v *
-                                          simd::simdExp(
-                                              qv *
-                                              simd::FloatV(-0.5f)))
-                                .store(qa_lane);
-                        else
-                            qv.store(qa_lane);
-                        do {
-                            const int i = std::countr_zero(bits);
-                            bits &= bits - 1;
-                            ++stats.influence_pixels;
-                            if (!visited_block) {
-                                ++stats.active_blocks;
-                                block_visit(bx, by);
-                                visited_block = true;
-                            }
-                            visit(x + i, y, qa_lane[i]);
-                        } while (bits != 0);
+                        passing += std::popcount(bits);
+                        visit(x, y, qv, bits);
                     }
                 }
+                stats.influence_pixels += passing;
+                if (passing > 0)
+                    ++stats.active_blocks;
             }
             // T-masked blocks are excluded from alpha computation
             // (Sec. 4.5) but the walk continues through them: the

@@ -1,11 +1,14 @@
 #include "render/gaussian_wise_renderer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <utility>
 
+#include "gsmath/simd.h"
 #include "obs/perf_recorder.h"
+#include "render/lane_blend.h"
 #include "runtime/parallel_for.h"
 #include "runtime/thread_pool.h"
 
@@ -187,7 +190,7 @@ struct GaussianWiseRenderer::SplatCache
 };
 
 /**
- * Reusable per-view working set: the transmittance plane, T-mask,
+ * Reusable per-view working set: the per-pixel planes, T-mask,
  * per-block live counts and the group splat list are assigned (not
  * reallocated) per sub-view, so Cmode frames touching dozens of
  * sub-views stop churning the allocator.  One instance lives per
@@ -202,7 +205,7 @@ struct GaussianWiseRenderer::ViewScratch
         std::uint32_t pos;  ///< candidate position (flag slot)
     };
 
-    std::vector<float> transmittance;
+    BlendPlanes planes;  ///< the view's color/T, stride view_w
     std::vector<std::uint8_t> t_mask;
     std::vector<int> block_live;
     std::vector<std::uint32_t> positions;
@@ -240,8 +243,8 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
     BlockTraversal traversal(config_.block_size, view_w, view_h);
     const int bx_n = traversal.blocksX();
     const int by_n = traversal.blocksY();
-    scratch.transmittance.assign(
-        static_cast<std::size_t>(view_w) * view_h, 1.0f);
+    BlendPlanes &planes = scratch.planes;
+    planes.reset(static_cast<std::size_t>(view_w) * view_h);
     scratch.t_mask.assign(static_cast<std::size_t>(bx_n) * by_n, 0);
     scratch.block_live.assign(scratch.t_mask.size(), 0);
     for (int by = 0; by < by_n; ++by) {
@@ -254,14 +257,14 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
                 w * h;
         }
     }
-    float *transmittance = scratch.transmittance.data();
     int *block_live = scratch.block_live.data();
     std::uint8_t *t_mask = scratch.t_mask.data();
-    // Hoisted out of the per-pixel visitor: float image stores could
-    // alias float members under type-based aliasing, forcing reloads.
-    const float termination_t = config_.termination_t;
+    // Hoisted out of the lane visitor: float plane stores could alias
+    // float members under type-based aliasing, forcing reloads.
     const int block_size = config_.block_size;
     const bool fast_alpha = config_.fast_alpha;
+    const simd::FloatV term_v(config_.termination_t), cap_v(0.99f);
+    const simd::FloatV neg_half_v(-0.5f);
     std::int64_t live = static_cast<std::int64_t>(view_w) * view_h;
 
     // ---- Stages II-IV, group by group, near to far. ----
@@ -365,57 +368,49 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
                                    ? gs.splat.color
                                    : shColorFor(cloud[gs.id], cam);
 
-            const float opacity = gs.splat.opacity;
             // Blends are tallied in a register-resident local and
             // flushed once per splat: the counters live behind
-            // references, so per-pixel increments would be memory
+            // references, so per-lane increments would be memory
             // read-modify-writes in the hottest loop.
             std::int64_t splat_blends = 0;
-            auto blend_body = [&](int x, int y, float a, float &t) {
-                ++splat_blends;
-                image.at(view_x0 + x, view_y0 + y) += color * (a * t);
-                t *= 1.0f - a;
-                if (t < termination_t) {
+            const simd::FloatV omega_v(gs.splat.opacity);
+            const simd::FloatV rv(color.x), gv(color.y), bv(color.z);
+            // Stage IV on whole lane groups, each lane the scalar
+            // reference's op sequence at its own pixel; only std::exp
+            // runs per live lane.
+            auto blend_lanes = [&](int x, int y, const simd::FloatV &q,
+                                   unsigned bits) {
+                const std::size_t off =
+                    static_cast<std::size_t>(y) * view_w + x;
+                const simd::FloatV t = planes.t(off);
+                // Scalar `t < termination_t -> skip`.
+                bits &= ~(t < term_v).bits();
+                if (bits == 0)
+                    return;
+                // Fast-alpha: vectorized polynomial exp (simdExp).
+                // Exact: scalar std::min(0.99f, a), 0.99 on NaN.
+                const simd::FloatV a =
+                    fast_alpha
+                        ? simd::min(cap_v, omega_v * simd::simdExp(
+                                                         q * neg_half_v))
+                        : simd::min(omega_v * expFalloff(q, bits), cap_v);
+                const simd::FloatV t_new =
+                    planes.blend(off, bits, t, a, rv, gv, bv);
+                splat_blends += std::popcount(bits);
+                // Only lanes crossing termination touch the counts.
+                for (unsigned d = bits & (t_new < term_v).bits(); d != 0;
+                     d &= d - 1) {
+                    const int px = x + std::countr_zero(d);
                     --live;
                     std::size_t bi =
-                        static_cast<std::size_t>(y / block_size) *
-                            bx_n +
-                        (x / block_size);
+                        static_cast<std::size_t>(y / block_size) * bx_n +
+                        (px / block_size);
                     if (--block_live[bi] == 0)
                         t_mask[bi] = 1;
                 }
             };
-            BoundaryStats bs;
-            if (fast_alpha) {
-                // Fast-alpha: the traversal hands back a vectorized
-                // polynomial alpha (simdExp) per passing pixel.
-                bs = traversal.traverseWith<true>(
-                    local, opacity, &scratch.t_mask,
-                    [&](int x, int y, float a) {
-                        float &t = transmittance[
-                            static_cast<std::size_t>(y) * view_w + x];
-                        if (t < termination_t)
-                            return;
-                        blend_body(x, y, a, t);
-                    },
-                    [](int, int) {});
-            } else {
-                bs = traversal.traverseWith(
-                    local, opacity, &scratch.t_mask,
-                    [&](int x, int y, float q) {
-                        float &t = transmittance[
-                            static_cast<std::size_t>(y) * view_w + x];
-                        if (t < termination_t)
-                            return;
-                        // Lazy alpha: the exp is paid only for live
-                        // pixels, with the traversal's exact
-                        // expression.
-                        float a = std::min(
-                            0.99f, opacity * std::exp(-0.5f * q));
-                        blend_body(x, y, a, t);
-                    },
-                    [](int, int) {});
-            }
+            const BoundaryStats bs = traversal.traverseLanes(
+                local, gs.splat.opacity, &scratch.t_mask, blend_lanes);
             stats.alpha_evals += bs.alpha_evals;
             stats.visited_blocks += bs.visited_blocks;
             stats.influence_pixels += bs.influence_pixels;
@@ -433,6 +428,10 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
             terminated = true;
         stats.group_trace.push_back(activity);
     }
+
+    // The view's region is zero on entry (a fresh frame; Cmode
+    // sub-views are disjoint), so the planes are the blended pixels.
+    planes.writeBack(image, view_x0, view_y0, view_w, view_h, view_w);
 }
 
 void

@@ -26,8 +26,9 @@
  *  - render(): the fast path — one shared projection pass feeding
  *    both the Cmode spatial binning and Stage II (each Gaussian is
  *    projected once per frame instead of once for binning plus once
- *    per overlapping sub-view), statically-dispatched block traversal
- *    (no per-pixel std::function call), reused per-view scratch
+ *    per overlapping sub-view), a statically-dispatched block
+ *    traversal whose visitor blends whole SIMD lane groups into
+ *    planar per-view accumulators, reused per-view scratch
  *    buffers, and — because Cmode sub-views are disjoint pixel
  *    regions — optional multi-threaded sub-view rendering over a
  *    ThreadPool with a deterministic, sub-view-ordered stat merge;

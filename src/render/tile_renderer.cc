@@ -10,6 +10,7 @@
 
 #include "gsmath/simd.h"
 #include "gsmath/sort_keys.h"
+#include "render/lane_blend.h"
 #include "obs/metrics_registry.h"
 #include "obs/perf_recorder.h"
 #include "runtime/parallel_for.h"
@@ -96,7 +97,7 @@ constexpr int kSub = 8;
 /** Reusable per-worker buffers of the tile raster kernel. */
 struct TileScratch
 {
-    std::vector<float> tile_t;   ///< per-pixel transmittance
+    BlendPlanes planes;          ///< the tile's color/T, stride tile_size
     std::vector<int> sub_live;   ///< live-pixel counts per 8x8 subtile
     std::vector<int> row_live;   ///< live-pixel counts per tile row
 };
@@ -104,11 +105,20 @@ struct TileScratch
 /**
  * Rasterize one tile from its depth-sorted entry list — the kernel of
  * the raster stage, so a dirty tile re-blended by an incremental
- * frame is bit-identical to the cold render of the same list.  The
- * tile's pixels in @p image must be zero on entry (cold frames start
- * from a zeroed image; incremental frames clear a dirty tile's block
- * before calling).  Writes stay inside the tile's pixel region, so
- * disjoint tiles rasterize concurrently.
+ * frame is bit-identical to the cold render of the same list.
+ *
+ * Each splat is blended kWidth pixels at a time: q, the cutoff and
+ * termination masks, the alpha clamp, the color add and the
+ * transmittance update all run on a whole lane group, each lane the
+ * scalar reference's op sequence at its own pixel; only std::exp is
+ * called per live lane.  Color and T accumulate in the scratch planes
+ * and are written to @p image once, after the last splat.  The
+ * write-back assigns, so the tile's pixels in @p image must be zero
+ * on entry (cold frames start from a zeroed image; incremental frames
+ * clear a dirty tile's block before calling) — then the assigned sum
+ * is bit-identical to blending into the image in place.  Writes stay
+ * inside the tile's pixel region, so disjoint tiles rasterize
+ * concurrently.
  *
  * When @p depth_out is non-null (with @p splat_depth supplying the
  * per-slot view depths), the kernel also records a per-pixel surface
@@ -137,8 +147,8 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
     int x1 = std::min(x0 + tile, width);
     int y1 = std::min(y0 + tile, height);
     int live = (x1 - x0) * (y1 - y0);
-    scratch.tile_t.assign(static_cast<std::size_t>(tile) * tile, 1.0f);
-    std::vector<float> &tile_t = scratch.tile_t;
+    BlendPlanes &planes = scratch.planes;
+    planes.reset(static_cast<std::size_t>(tile) * tile);
 
     // Per-subtile live-pixel counts (8x8 granularity): the VRU
     // processes one subtile per array pass in lockstep.  Per-row
@@ -154,11 +164,20 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
             ++sub_live[((y - y0) / kSub) * sub_n + (x - x0) / kSub];
     }
 
+    // Counters tally in locals and flush once per tile: behind the
+    // StandardFlowStats reference, a per-lane increment could alias
+    // the float plane stores and the bitmap words.
+    std::int64_t tile_fetches = 0, subtile_passes = 0, alpha_evals = 0;
+    std::int64_t blend_ops = 0;
+    const simd::FloatV half_v(0.5f), neg_half_v(-0.5f), cap_v(0.99f);
+    const simd::FloatV term_v(config.termination_t);
+    const simd::FloatV cutoff_v(config.alpha_cutoff);
+
     for (std::size_t e = 0; e < list_len; ++e) {
         if (live == 0)
             break;  // whole tile terminated: skip the rest
         const std::uint32_t si = packedValue(entries[e]);
-        ++st.tile_fetches;
+        ++tile_fetches;
         fetched[si >> 6] |= std::uint64_t{1} << (si & 63);
         const SplatSoA::Blend &b = soa.blend[si];
 
@@ -172,7 +191,7 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
                 if (b.sb_x1 < rx0 || b.sb_x0 > rx0 + kSub - 1 ||
                     b.sb_y1 < ry0 || b.sb_y0 > ry0 + kSub - 1)
                     continue;
-                ++st.subtile_passes;
+                ++subtile_passes;
             }
         }
 
@@ -181,22 +200,22 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
         // below the alpha cutoff, so only the rect is walked and the
         // skipped evaluations are accounted from the live count
         // (identical totals, less work).
-        st.alpha_evals += live;
+        alpha_evals += live;
         const int rx0 = std::max(x0, b.it_x0);
         const int rx1 = std::min(x1 - 1, b.it_x1);
         const int ry0 = std::max(y0, b.it_y0);
         const int ry1 = std::min(y1 - 1, b.it_y1);
-        // Conic and thresholds broadcast once per splat; the row
-        // loop below evaluates q for kWidth pixels per step with
-        // each lane running the scalar op sequence exactly (same
-        // dx/dy derivation, same multiply/add order), so the
-        // pass/fail decisions — and therefore the image and stats —
-        // are bit-identical to the scalar reference.
+        // Splat constants broadcast once.  Every lane below runs the
+        // scalar reference's op sequence at its own pixel (same dx/dy
+        // derivation, multiply/add order and comparisons, NaN
+        // included), so images and stats stay bit-identical.
         const simd::FloatV c00v(b.c00), c01v(b.c01);
         const simd::FloatV c10v(b.c10), c11v(b.c11);
         const simd::FloatV cxv(b.cx);
         const simd::FloatV q_skip_v(b.q_skip);
-        const simd::FloatV half_v(0.5f);
+        const simd::FloatV opacity_v(b.opacity);
+        const simd::FloatV rv(b.r), gv(b.g), bv(b.b);
+        std::int64_t splat_blends = 0;
         // (An earlier revision solved a per-row quadratic interval
         // in double to trim dead row tails; with rows clipped to the
         // tile and evaluated kWidth lanes per step under the q_skip
@@ -207,77 +226,72 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
             if (row_live[y - y0] == 0)
                 continue;  // every pixel in the row terminated
             const float py = static_cast<float>(y) + 0.5f;
-            const int row_x0 = rx0;
-            const int row_x1 = rx1;
-            const float dy_row = py - b.cy;
-            const simd::FloatV dyv(dy_row);
-            float *trow =
-                tile_t.data() + static_cast<std::size_t>(y - y0) * tile;
-            for (int x = row_x0; x <= row_x1; x += simd::kWidth) {
-                const int nlane =
-                    std::min<int>(simd::kWidth, row_x1 - x + 1);
+            const simd::FloatV dyv(py - b.cy);
+            const std::size_t row = static_cast<std::size_t>(y - y0) * tile;
+            for (int x = rx0; x <= rx1; x += simd::kWidth) {
+                const int nlane = std::min<int>(simd::kWidth, rx1 - x + 1);
                 simd::FloatV dx =
                     (simd::FloatV::iotaFrom(x) + half_v) - cxv;
                 simd::FloatV q = dx * (c00v * dx + c01v * dyv) +
                                  dyv * (c10v * dx + c11v * dyv);
-                // Mirrors the scalar `q > q_skip -> skip` comparison
-                // exactly (incl. NaN ordering).
+                // Scalar `q > q_skip -> skip`.
                 unsigned bits = simd::MaskV::firstN(nlane).bits() &
                                 ~(q > q_skip_v).bits();
                 if (bits == 0)
                     continue;  // all lanes provably sub-cutoff
-                float qlane[simd::kWidth];
-                float alane[simd::kWidth];
-                if (fast_alpha)
-                    simd::min(simd::FloatV(0.99f),
-                              simd::FloatV(b.opacity) *
-                                  simd::simdExp(q * simd::FloatV(-0.5f)))
-                        .store(alane);
-                else
-                    q.store(qlane);
-                // Surviving lanes compact into the exact scalar
-                // alpha/blend path, front-to-back in x order.
-                do {
-                    const int i = std::countr_zero(bits);
-                    bits &= bits - 1;
-                    const int px = x + i;
-                    float &t = trow[px - x0];
-                    if (t < config.termination_t)
-                        continue;
-                    float a;
-                    if (fast_alpha) {
-                        a = alane[i];
-                    } else {
-                        a = b.opacity * std::exp(-0.5f * qlane[i]);
-                        if (a > 0.99f)
-                            a = 0.99f;
+                const std::size_t off = row + (x - x0);
+                const simd::FloatV t = planes.t(off);
+                // Scalar `t < termination_t -> skip`.
+                bits &= ~(t < term_v).bits();
+                if (bits == 0)
+                    continue;
+                const simd::FloatV e =
+                    fast_alpha ? simd::simdExp(q * neg_half_v)
+                               : expFalloff(q, bits);
+                // Scalar `if (a > 0.99f) a = 0.99f` (NaN kept), then
+                // `a < alpha_cutoff -> skip`.
+                const simd::FloatV a = simd::min(cap_v, opacity_v * e);
+                bits &= ~(a < cutoff_v).bits();
+                if (bits == 0)
+                    continue;
+                const simd::FloatV t_new =
+                    planes.blend(off, bits, t, a, rv, gv, bv);
+                splat_blends += std::popcount(bits);
+                if (depth_out != nullptr) {
+                    float t_prev[simd::kWidth], t_next[simd::kWidth];
+                    t.store(t_prev);
+                    t_new.store(t_next);
+                    float *drow =
+                        depth_out + static_cast<std::size_t>(y) * width + x;
+                    for (unsigned d = bits; d != 0; d &= d - 1) {
+                        const int i = std::countr_zero(d);
+                        if (drow[i] == 0.0f ||
+                            (t_prev[i] >= 0.5f && t_next[i] < 0.5f))
+                            drow[i] = splat_depth[si];
                     }
-                    if (a < config.alpha_cutoff)
-                        continue;
-                    ++st.blend_ops;
-                    contributed[si >> 6] |= std::uint64_t{1} << (si & 63);
-                    image.at(px, y) += Vec3(b.r, b.g, b.b) * (a * t);
-                    const float t_prev = t;
-                    t *= 1.0f - a;
-                    if (depth_out != nullptr) {
-                        float &dz =
-                            depth_out[static_cast<std::size_t>(y) *
-                                          width +
-                                      px];
-                        if (dz == 0.0f ||
-                            (t_prev >= 0.5f && t < 0.5f))
-                            dz = splat_depth[si];
-                    }
-                    if (t < config.termination_t) {
-                        --live;
-                        --row_live[y - y0];
-                        --sub_live[((y - y0) / kSub) * sub_n +
-                                   (px - x0) / kSub];
-                    }
-                } while (bits != 0);
+                }
+                // Only lanes crossing termination touch the counts.
+                for (unsigned d = bits & (t_new < term_v).bits(); d != 0;
+                     d &= d - 1) {
+                    const int px = x + std::countr_zero(d);
+                    --live;
+                    --row_live[y - y0];
+                    --sub_live[((y - y0) / kSub) * sub_n +
+                               (px - x0) / kSub];
+                }
             }
         }
+        if (splat_blends > 0) {
+            blend_ops += splat_blends;
+            contributed[si >> 6] |= std::uint64_t{1} << (si & 63);
+        }
     }
+    st.tile_fetches += tile_fetches;
+    st.subtile_passes += subtile_passes;
+    st.alpha_evals += alpha_evals;
+    st.blend_ops += blend_ops;
+
+    planes.writeBack(image, x0, y0, x1 - x0, y1 - y0, tile);
 }
 
 // ---- Frame stages (tile_renderer.h names who runs which). ----

@@ -20,7 +20,8 @@
  * raster (per-tile LSD radix depth sort of fresh lists, per-splat
  * pixel iteration bounded by the cutoff-safe footprint rect — skipped
  * pixels are accounted analytically, so the reported hardware stats
- * do not change — and one chunk-ordered merge).  render() runs all
+ * do not change — blended one SIMD lane group at a time into
+ * per-tile planar accumulators, and one chunk-ordered merge).  render() runs all
  * four over every tile; renderTemporal() runs the same four on a full
  * rebuild, and prepare, cover and raster of the dirty tiles on an
  * incremental frame; tilesPerSplat() runs prepare's SoA build and

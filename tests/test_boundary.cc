@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <set>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "render/boundary.h"
 
@@ -158,6 +164,76 @@ TEST(BlockTraversal, BlockVisitFiresOncePerActiveBlock)
         });
     EXPECT_EQ(st.active_blocks,
               static_cast<std::int64_t>(blocks.size()));
+}
+
+TEST(BlockTraversal, LaneGroupsMatchPerPixelTraversal)
+{
+    // traverseLanes hands out the same pixels, in the same order and
+    // with the same stats, as the per-pixel traverse(): expanding each
+    // lane group's pass bits and turning q into alpha the way
+    // traverse() does must reproduce its visit sequence bit for bit.
+    // Ragged views and block sizes leave partial lane groups; the
+    // T-mask case masks every third block.
+    struct Visit
+    {
+        int x, y;
+        float alpha;
+        bool operator==(const Visit &) const = default;
+    };
+    const Ellipse ellipses[] = {
+        Ellipse::fromCovariance(Vec2(61, 47), Mat2(60, 20, 20, 40)),
+        Ellipse::fromCovariance(Vec2(-5, 30), Mat2(300, 50, 50, 90)),
+        Ellipse::fromCovariance(Vec2(3.2f, 2.7f), Mat2(2, 0.5f, 0.5f, 1)),
+    };
+    for (auto [w, h] : {std::pair{130, 70}, std::pair{7, 5},
+                        std::pair{1, 1}}) {
+        for (int n : {2, 4, 8, 12, 16}) {
+            BlockTraversal traversal(n, w, h);
+            std::vector<std::uint8_t> mask(
+                static_cast<std::size_t>(traversal.blocksX()) *
+                    traversal.blocksY(),
+                0);
+            for (std::size_t i = 0; i < mask.size(); i += 3)
+                mask[i] = 1;
+            for (const Ellipse &e : ellipses) {
+                for (const auto *t_mask :
+                     {static_cast<std::vector<std::uint8_t> *>(nullptr),
+                      &mask}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << w << "x" << h << ", block " << n
+                                 << ", center " << e.center.x << ","
+                                 << e.center.y << ", masked "
+                                 << (t_mask != nullptr));
+                    const float omega = 0.9f;
+                    std::vector<Visit> ref, lanes;
+                    const BoundaryStats st_ref = traversal.traverse(
+                        e, omega, t_mask, [&](int x, int y, float a) {
+                            ref.push_back({x, y, a});
+                        });
+                    const BoundaryStats st = traversal.traverseLanes(
+                        e, omega, t_mask,
+                        [&](int x, int y, const simd::FloatV &q,
+                            unsigned bits) {
+                            EXPECT_NE(bits, 0u);
+                            for (; bits != 0; bits &= bits - 1) {
+                                const int i = std::countr_zero(bits);
+                                lanes.push_back(
+                                    {x + i, y,
+                                     std::min(0.99f,
+                                              omega * std::exp(
+                                                          -0.5f *
+                                                          q.lane(i)))});
+                            }
+                        });
+                    EXPECT_TRUE(ref == lanes);
+                    EXPECT_EQ(st.alpha_evals, st_ref.alpha_evals);
+                    EXPECT_EQ(st.influence_pixels, st_ref.influence_pixels);
+                    EXPECT_EQ(st.visited_blocks, st_ref.visited_blocks);
+                    EXPECT_EQ(st.active_blocks, st_ref.active_blocks);
+                }
+            }
+        }
+    }
 }
 
 class BlockSizeSweep : public ::testing::TestWithParam<int>

@@ -15,6 +15,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "render/gaussian_wise_renderer.h"
 #include "render/metrics.h"
@@ -234,6 +235,51 @@ TEST(GwEquivalence, PresetScenesMatchReferenceAtSubview128)
         EXPECT_TRUE(imagesBitIdentical(ref, pooled));
         expectStatsIdentical(st_ref, st_opt);
         expectStatsIdentical(st_ref, st_pooled);
+    }
+}
+
+TEST(GwEquivalence, LaneBlendMatchesReferenceOnRaggedViews)
+{
+    // The lane-group blend must match the per-pixel reference where
+    // lane groups are ragged: viewports, Cmode sub-views (24) and PE
+    // blocks (12) that are not multiples of the SIMD width, opacity
+    // at and above the 0.99 clamp, and termination thresholds that
+    // retire lanes in the middle of a group (0.5) or almost never
+    // (1e-7).
+    ThreadPool pool(2);
+    for (auto [w, h] : {std::pair{1, 1}, std::pair{7, 5},
+                        std::pair{130, 70}}) {
+        const SceneSpec spec = test::viewportSpec(w, h);
+        const GaussianCloud cloud = test::clampedScene(spec);
+        const Camera cam = makeCamera(spec);
+        for (int subview : {0, 24}) {
+            for (int block : {8, 12}) {
+                for (float term : {1e-4f, 0.5f, 1e-7f}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << w << "x" << h << ", subview " << subview
+                                 << ", block " << block << ", termination "
+                                 << term);
+                    GaussianWiseConfig cfg;
+                    cfg.subview_size = subview;
+                    cfg.block_size = block;
+                    cfg.termination_t = term;
+                    cfg.group_capacity = 128;
+                    GaussianWiseRenderer renderer(cfg);
+                    GaussianWiseStats st_ref, st_opt, st_pooled;
+                    Image ref = renderer.renderReference(cloud, cam, st_ref);
+                    Image opt = renderer.render(cloud, cam, st_opt);
+                    Image pooled =
+                        renderer.render(cloud, cam, st_pooled, &pool);
+                    EXPECT_TRUE(imagesBitIdentical(ref, opt));
+                    EXPECT_TRUE(imagesBitIdentical(ref, pooled));
+                    expectStatsIdentical(st_ref, st_opt);
+                    expectStatsIdentical(st_ref, st_pooled);
+                    if (w > 1) {
+                        EXPECT_GT(st_ref.blend_ops, 0);
+                    }
+                }
+            }
+        }
     }
 }
 

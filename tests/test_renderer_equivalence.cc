@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "render/metrics.h"
 #include "render/tile_renderer.h"
@@ -266,6 +268,44 @@ TEST(RendererEquivalence,
             EXPECT_TRUE(imagesBitIdentical(ref, img))
                 << "tile " << tile << ", workers " << workers;
             expectStatsIdentical(st_ref, st);
+        }
+    }
+}
+
+TEST(RendererEquivalence, LaneBlendMatchesReferenceOnRaggedTiles)
+{
+    // The lane-group blend must match the per-pixel reference where
+    // lane groups are ragged: tile sizes and viewports that are not
+    // multiples of the SIMD width, opacity at and above the 0.99
+    // clamp, and termination thresholds that retire lanes in the
+    // middle of a group (0.5) or almost never (1e-7).
+    ThreadPool pool(2);
+    for (auto [w, h] : {std::pair{1, 1}, std::pair{7, 5},
+                        std::pair{130, 70}}) {
+        const SceneSpec spec = test::viewportSpec(w, h);
+        const GaussianCloud cloud = test::clampedScene(spec);
+        const Camera cam = makeCamera(spec);
+        for (int tile : {8, 12, 24, 64}) {
+            for (float term : {1e-4f, 0.5f, 1e-7f}) {
+                SCOPED_TRACE(::testing::Message()
+                             << w << "x" << h << ", tile " << tile
+                             << ", termination " << term);
+                TileRendererConfig cfg;
+                cfg.tile_size = tile;
+                cfg.termination_t = term;
+                TileRenderer renderer(cfg);
+                StandardFlowStats st_ref, st_opt, st_pooled;
+                Image ref = renderer.renderReference(cloud, cam, st_ref);
+                Image opt = renderer.render(cloud, cam, st_opt);
+                Image pooled = renderer.render(cloud, cam, st_pooled, &pool);
+                EXPECT_TRUE(imagesBitIdentical(ref, opt));
+                EXPECT_TRUE(imagesBitIdentical(ref, pooled));
+                expectStatsIdentical(st_ref, st_opt);
+                expectStatsIdentical(st_ref, st_pooled);
+                if (w > 1) {
+                    EXPECT_GT(st_ref.blend_ops, 0);
+                }
+            }
         }
     }
 }
@@ -540,6 +580,69 @@ TEST(TemporalEquivalence, PresetStreamsHoldTheStreamingContracts)
             EXPECT_GE(min_psnr, 40.0) << sceneName(id) << ", hold " << hold;
         }
     }
+}
+
+/** FNV-1a over an image's float bytes. */
+std::uint64_t
+imageHash(const Image &img, std::uint64_t h = 1469598103934665603ull)
+{
+    const auto *p =
+        reinterpret_cast<const unsigned char *>(img.pixels().data());
+    for (std::size_t i = 0; i < img.pixelCount() * sizeof(Vec3); ++i)
+        h = (h ^ p[i]) * 1099511628211ull;
+    return h;
+}
+
+TEST(TemporalEquivalence, KeepExactDepthCaptureIsExact)
+{
+    // keep_exact frames capture each pixel's median-surface depth in
+    // the lane blend, and a forced warp lifts every pixel at it.  So
+    // a warp after each exact frame must (a) match the warp from a
+    // fresh cache whose exact frame was a cold rebuild, and (b) hash
+    // to the value the per-pixel blend kernel produced before the
+    // lane blend replaced it.  Ragged tiles, a 130x70 viewport and
+    // T = 0.5 (lanes cross the median-surface threshold and retire
+    // in the same step) stress the per-lane capture.
+    SceneSpec spec = test::tinyRoomSpec(47, 2000);
+    spec.image_width = 130;
+    spec.image_height = 70;
+    const GaussianCloud cloud = generateScene(spec, 1.0f);
+    const Trajectory stream = heldStream(spec, 4, 0.005f, 1);
+    std::uint64_t hash = 1469598103934665603ull;
+    for (int tile : {8, 12, 24, 64}) {
+        for (float term : {1e-4f, 0.5f}) {
+            TileRendererConfig cfg;
+            cfg.tile_size = tile;
+            cfg.termination_t = term;
+            TileRenderer renderer(cfg);
+            TemporalCache cache;
+            cache.options.keep_exact = true;
+            for (std::size_t f = 0; f + 1 < stream.frameCount(); ++f) {
+                SCOPED_TRACE(::testing::Message()
+                             << "tile " << tile << ", termination "
+                             << term << ", frame " << f);
+                StandardFlowStats st;
+                (void)renderer.renderTemporal(cloud, stream.frame(f), st,
+                                              cache);
+                const Image warp = renderer.renderTemporal(
+                    cloud, stream.frame(f + 1), st, cache, nullptr,
+                    /*force_warp=*/true);
+                TemporalCache fresh;
+                fresh.options.keep_exact = true;
+                (void)renderer.renderTemporal(cloud, stream.frame(f), st,
+                                              fresh);
+                const Image warp_fresh = renderer.renderTemporal(
+                    cloud, stream.frame(f + 1), st, fresh, nullptr,
+                    /*force_warp=*/true);
+                EXPECT_TRUE(imagesBitIdentical(warp_fresh, warp));
+                hash = imageHash(warp, hash);
+            }
+            EXPECT_EQ(cache.counters().warped_frames,
+                      static_cast<std::int64_t>(stream.frameCount() - 1));
+            EXPECT_GT(cache.counters().incremental_frames, 0);
+        }
+    }
+    EXPECT_EQ(hash, 0xdea34bc1580ad2a0ull);
 }
 
 TEST(TemporalEquivalence, ForcedWarpTierHolds40DbOnPreset)

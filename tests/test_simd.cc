@@ -166,6 +166,36 @@ TEST(Simd, MaskOpsAndFirstN)
     EXPECT_EQ((a | b).bits(), b.bits());
 }
 
+TEST(Simd, FromBitsRoundTripsEveryLanePattern)
+{
+    // Every lane pattern: fromBits is the exact inverse of bits(),
+    // each lane is all-ones or all-zeros (so select/and/or see a
+    // proper mask), and bits at or above kWidth are ignored.
+    float ones[kWidth], zeros[kWidth];
+    for (int l = 0; l < kWidth; ++l) {
+        ones[l] = 1.0f;
+        zeros[l] = 0.0f;
+    }
+    for (unsigned p = 0; p < (1u << kWidth); ++p) {
+        const MaskV m = MaskV::fromBits(p);
+        EXPECT_EQ(m.bits(), p) << "pattern " << p;
+        EXPECT_EQ(MaskV::fromBits(p | (~0u << kWidth)).bits(), p)
+            << "pattern " << p << " with high bits set";
+        EXPECT_EQ((m & MaskV::firstN(kWidth)).bits(), p);
+        EXPECT_EQ((m | MaskV::firstN(0)).bits(), p);
+        const FloatV s = simd::select(m, FloatV::load(ones),
+                                      FloatV::load(zeros));
+        const IntV si = simd::selectInt(m, IntV(-1), IntV(0));
+        for (int l = 0; l < kWidth; ++l) {
+            const bool on = (p >> l) & 1u;
+            EXPECT_EQ(s.lane(l), on ? 1.0f : 0.0f)
+                << "pattern " << p << " lane " << l;
+            EXPECT_EQ(si.lane(l), on ? -1 : 0)
+                << "pattern " << p << " lane " << l;
+        }
+    }
+}
+
 TEST(Simd, SelectPicksPerLane)
 {
     float a_lanes[kWidth], b_lanes[kWidth];

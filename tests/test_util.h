@@ -68,6 +68,29 @@ frontCamera(int w = 192, int h = 160)
     return cam;
 }
 
+/** tinySpec's scene, seen through a @p w x @p h viewport. */
+inline SceneSpec
+viewportSpec(int w, int h)
+{
+    SceneSpec spec = tinySpec(41, 1500);
+    spec.image_width = w;
+    spec.image_height = h;
+    return spec;
+}
+
+/** @p spec's scene plus three wide Gaussians at and above the
+ *  renderers' 0.99 alpha clamp near the scene center, so pixels near
+ *  their centers blend a clamped alpha. */
+inline GaussianCloud
+clampedScene(const SceneSpec &spec)
+{
+    GaussianCloud cloud = generateScene(spec, 1.0f);
+    cloud.add(makeGaussian(Vec3(-0.3f, 0.0f, -0.5f), 0.3f, 0.99f));
+    cloud.add(makeGaussian(Vec3(0.0f, 0.1f, -0.6f), 0.3f, 0.995f));
+    cloud.add(makeGaussian(Vec3(0.3f, -0.1f, -0.7f), 0.3f, 1.0f));
+    return cloud;
+}
+
 } // namespace gcc3d::test
 
 #endif // GCC3D_TESTS_TEST_UTIL_H
