@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <exception>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -359,6 +360,14 @@ main(int argc, char **argv)
     }
     if (fleet_spec.scenes.empty() || fleet_spec.renderers.empty()) {
         std::fprintf(stderr, "empty scene or renderer list\n");
+        return 2;
+    }
+    // Values that parse but make no fleet (e.g. a --lod-tau that is
+    // inf as a float) are usage errors too, caught before scene work.
+    try {
+        validateFleetSpec(fleet_spec);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "%s\n", e.what());
         return 2;
     }
 

@@ -45,12 +45,23 @@ selectLevel(const Vec3 &cam, const Vec3 &lo, const Vec3 &hi,
     float angular = params.bias * diameter / d;
     if (angular >= params.tau || !(angular > 0.0f))
         return 0;
-    int level =
-        1 + static_cast<int>(std::floor(std::log2(params.tau / angular)));
-    return std::min(level, max_level);
+    // Clamped in float: a huge or infinite tau (or a NaN) must not
+    // reach the int conversion, where it would be undefined.
+    const float halvings = std::floor(std::log2(params.tau / angular));
+    if (!(halvings < static_cast<float>(max_level - 1)))
+        return max_level;
+    return 1 + static_cast<int>(halvings);
 }
 
 } // namespace
+
+bool
+lodCutParamsValid(const LodCutParams &params, float tau_factor)
+{
+    auto positive = [](float v) { return v > 0.0f && std::isfinite(v); };
+    return positive(params.tau) && positive(params.bias) &&
+           positive(params.tau * tau_factor);
+}
 
 float
 lodPsnrFloorDb(int level)
@@ -74,7 +85,11 @@ lodPsnrFloorDb(int level)
 }
 
 LodScene::LodScene(const std::string &path, std::size_t budget_bytes)
-    : stream_(path, std::ios::binary), residency_(budget_bytes)
+    : stream_(path, std::ios::binary), residency_(budget_bytes),
+      obs_culled_chunks_(obs::MetricsRegistry::global().counter(
+          "lod.cut.culled_chunks")),
+      obs_culled_gaussians_(obs::MetricsRegistry::global().counter(
+          "lod.cut.culled_gaussians"))
 {
     if (!stream_)
         throw std::runtime_error("cannot open scene file: " + path);
@@ -137,33 +152,54 @@ LodScene::buildCut(const Camera &camera, const LodCutParams &params,
 {
     // Levels first: the directory gives every chunk's size at its
     // level, so the cut is allocated once and filled chunk by chunk.
-    // Cached leaves are fetched in the same pass, before any miss is
-    // decoded: a cut's leaves can outnumber the budget, and fetched
-    // in index order LRU would evict each cached leaf just before the
-    // scan reaches it.  The cut's order is fixed below, whatever the
-    // order of fetching.
+    // A chunk outside the frustum is counted at its level and marked
+    // culled: no splat of it could survive projection, so it is
+    // never fetched, decoded or copied.  Cached leaves are fetched in
+    // the same pass, before any miss is decoded: a cut's leaves can
+    // outnumber the budget, and fetched in index order LRU would
+    // evict each cached leaf just before the scan reaches it.  The
+    // cut's order is fixed below, whatever the order of fetching.
+    constexpr int kCulled = -1;
     const Vec3 &cam = camera.position();
     std::vector<int> levels(reader_->chunkCount());
     std::vector<std::shared_ptr<const ResidentChunk>> leaves(levels.size());
     std::size_t cut_size = 0;
-    for (std::size_t i = 0; i < levels.size(); ++i) {
-        const GscV2ChunkInfo &info = reader_->chunk(i);
-        levels[i] = selectLevel(cam, info.lo, info.hi, params,
-                                reader_->proxyLevels());
-        if (levels[i] == 0) {
-            cut_size += static_cast<std::size_t>(info.count);
-            leaves[i] = residency_.lookup(i);
-        } else {
-            cut_size +=
-                info.proxies[static_cast<std::size_t>(levels[i] - 1)].size();
-        }
-    }
-
-    GaussianCloud cut(reader_->name());
-    cut.reserve(cut_size);
     LodCutStats local;
     for (std::size_t i = 0; i < levels.size(); ++i) {
         const GscV2ChunkInfo &info = reader_->chunk(i);
+        const int level = selectLevel(cam, info.lo, info.hi, params,
+                                      reader_->proxyLevels());
+        const std::size_t count =
+            level == 0
+                ? static_cast<std::size_t>(info.count)
+                : info.proxies[static_cast<std::size_t>(level - 1)].size();
+        if (camera.boxOutsideFrustum(info.lo, info.hi)) {
+            levels[i] = kCulled;
+            if (level == 0) {
+                ++local.leaf_chunks;
+                local.leaf_gaussians += count;
+            } else {
+                ++local.proxy_chunks;
+            }
+            ++local.culled_chunks;
+            local.culled_gaussians += count;
+            continue;
+        }
+        levels[i] = level;
+        cut_size += count;
+        if (level == 0)
+            leaves[i] = residency_.lookup(i);
+    }
+    obs_culled_chunks_.add(static_cast<std::int64_t>(local.culled_chunks));
+    obs_culled_gaussians_.add(
+        static_cast<std::int64_t>(local.culled_gaussians));
+
+    GaussianCloud cut(reader_->name());
+    cut.reserve(cut_size);
+    for (std::size_t i = 0; i < levels.size(); ++i) {
+        const GscV2ChunkInfo &info = reader_->chunk(i);
+        if (levels[i] == kCulled)
+            continue;
         if (levels[i] == 0) {
             std::shared_ptr<const ResidentChunk> leaf = std::move(leaves[i]);
             try {
@@ -193,7 +229,7 @@ LodScene::buildCut(const Camera &camera, const LodCutParams &params,
             ++local.proxy_chunks;
         }
     }
-    local.cut_gaussians = cut.size();
+    local.cut_gaussians = cut.size() + local.culled_gaussians;
     if (stats != nullptr)
         *stats = local;
     return cut;

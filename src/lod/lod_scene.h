@@ -11,7 +11,13 @@
  * otherwise.  Coarser chunks contribute proxies already in RAM;
  * level-0 chunks fault their leaves in through the residency cache,
  * cached leaves first so that a cut larger than the budget does not
- * evict the leaves it is about to reuse.
+ * evict the leaves it is about to reuse.  A chunk whose AABB lies
+ * wholly outside the camera's frustum (Camera::boxOutsideFrustum) is
+ * absent from the cut at whatever level it was selected: none of its
+ * Gaussians could pass projection, so it is never looked up, faulted,
+ * decoded or copied, and the survivors keep their chunk order.  The
+ * cull trusts each chunk's directory AABB to bound its Gaussians'
+ * means, as every file the LOD builder writes does.
  *
  * The cut depends only on the camera and the cut parameters — never
  * on cache state (over-budget chunks load transiently rather than
@@ -29,6 +35,7 @@
 #include <vector>
 
 #include "lod/residency.h"
+#include "obs/metrics_registry.h"
 #include "runtime/mutex.h"
 #include "runtime/thread_annotations.h"
 #include "scene/camera.h"
@@ -58,13 +65,27 @@ struct LodCutParams
     int force_level = -1;
 };
 
-/** What a single buildCut() selected (for benches and tests). */
+/**
+ * True when @p params' tau and bias are finite and > 0, and so is tau
+ * scaled by @p tau_factor (the serving ladder's coarse-LOD tier).
+ * Sessions and fleets reject anything else up front.
+ */
+bool lodCutParamsValid(const LodCutParams &params, float tau_factor = 1.0f);
+
+/**
+ * What a single buildCut() selected (for benches and tests).  The
+ * selection counters include frustum-culled chunks, so they depend on
+ * the camera position and the cut parameters only; the returned cloud
+ * holds cut_gaussians - culled_gaussians Gaussians.
+ */
 struct LodCutStats
 {
-    std::size_t leaf_chunks = 0;      ///< chunks rendered at level 0
-    std::size_t proxy_chunks = 0;     ///< chunks rendered from proxies
-    std::size_t cut_gaussians = 0;    ///< Gaussians in the returned cloud
+    std::size_t leaf_chunks = 0;      ///< chunks selected at level 0
+    std::size_t proxy_chunks = 0;     ///< chunks selected from proxies
+    std::size_t cut_gaussians = 0;    ///< Gaussians the selection picked
     std::size_t leaf_gaussians = 0;   ///< of which full-detail leaves
+    std::size_t culled_chunks = 0;    ///< selected, but outside the frustum
+    std::size_t culled_gaussians = 0; ///< their Gaussians, not in the cloud
     /** Leaf chunks served from their finest proxy because decode
      *  retries were exhausted (fault injection / persistent IO
      *  corruption only; see LodScene::loadLeaf). */
@@ -100,8 +121,10 @@ class LodScene
     std::size_t alwaysResidentBytes() const { return proxy_bytes_; }
 
     /**
-     * Build the cut cloud for @p camera.  Deterministic in (file,
-     * camera, params); cache state never changes the result.
+     * Build the cut cloud for @p camera: the chunks its position
+     * selects, less those outside its frustum, in chunk order.
+     * Deterministic in (file, camera, params); cache state never
+     * changes the result.
      */
     GaussianCloud buildCut(const Camera &camera, const LodCutParams &params,
                            LodCutStats *stats = nullptr);
@@ -138,6 +161,8 @@ class LodScene
     std::unique_ptr<GscV2Reader> reader_;
     ResidencyManager residency_;  ///< internally synchronized
     std::size_t proxy_bytes_ = 0; ///< immutable after construction
+    obs::Counter &obs_culled_chunks_;     ///< lod.cut.culled_chunks
+    obs::Counter &obs_culled_gaussians_;  ///< lod.cut.culled_gaussians
 };
 
 } // namespace gcc3d

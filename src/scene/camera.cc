@@ -1,8 +1,25 @@
 #include "scene/camera.h"
 
+#include <algorithm>
 #include <cmath>
+#include <initializer_list>
 
 namespace gcc3d {
+
+namespace {
+
+/**
+ * Growth of a box before the frustum test.  Relative to the largest
+ * coordinate in play (box corners and eye): float worldToView and the
+ * guard-band limits round by a few ulp of that (~1e-7 relative), four
+ * orders of magnitude below this.  Absolute: covers the 1e-6 floor
+ * on a degenerate axis of a quantized chunk's frame, which can put a
+ * decoded mean up to 1e-6 outside the chunk's AABB.
+ */
+constexpr double kBoxMarginRelative = 1e-3;
+constexpr double kBoxMarginAbsolute = 1e-4;
+
+} // namespace
 
 Camera::Camera(int width, int height, float fov_x)
     : width_(width), height_(height)
@@ -38,6 +55,44 @@ Camera::projectionJacobian(const Vec3 &v) const
     return Mat3(focal_x_ * inv_z, 0.0f, -focal_x_ * v.x * inv_z2,
                 0.0f, focal_y_ * inv_z, -focal_y_ * v.y * inv_z2,
                 0.0f, 0.0f, 0.0f);
+}
+
+bool
+Camera::boxOutsideFrustum(const Vec3 &lo, const Vec3 &hi) const
+{
+    double scale = 0.0;
+    for (float c : {lo.x, lo.y, lo.z, hi.x, hi.y, hi.z, position_.x,
+                    position_.y, position_.z})
+        scale = std::max(scale, std::fabs(static_cast<double>(c)));
+    const double margin = kBoxMarginAbsolute + kBoxMarginRelative * scale;
+    const double box[2][3] = {
+        {lo.x - margin, lo.y - margin, lo.z - margin},
+        {hi.x + margin, hi.y + margin, hi.z + margin}};
+
+    // A point fails inFrustum's side test when x >= lim_x = k_x z
+    // (or x <= -k_x z; likewise y); for z <= 0 every point fails, so
+    // each half-space below lies wholly inside the failing set, and a
+    // convex box whose corners all lie in one of them fails entirely.
+    // Double precision makes the corner tests exact next to the margin.
+    const double half_band = 0.5 * static_cast<double>(kFrustumGuardBand);
+    const double kx = half_band * width_ / focal_x_;
+    const double ky = half_band * height_ / focal_y_;
+    bool behind = true, right = true, left = true, below = true,
+         above = true;
+    for (int corner = 0; corner < 8; ++corner) {
+        const double p[3] = {box[corner & 1][0], box[(corner >> 1) & 1][1],
+                             box[(corner >> 2) & 1][2]};
+        double v[3];
+        for (std::size_t r = 0; r < 3; ++r)
+            v[r] = view_(r, 0) * p[0] + view_(r, 1) * p[1] +
+                   view_(r, 2) * p[2] + view_(r, 3);
+        behind = behind && v[2] < near_;
+        right = right && v[0] >= kx * v[2];
+        left = left && v[0] <= -kx * v[2];
+        below = below && v[1] >= ky * v[2];
+        above = above && v[1] <= -ky * v[2];
+    }
+    return behind || right || left || below || above;
 }
 
 } // namespace gcc3d

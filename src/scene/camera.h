@@ -21,6 +21,13 @@
 
 namespace gcc3d {
 
+/**
+ * Guard-band factor of the frustum tests: a Gaussian whose mean lies
+ * slightly off-screen can still cover pixels, so the side planes sit
+ * this factor outside the viewport edges.
+ */
+inline constexpr float kFrustumGuardBand = 1.3f;
+
 /** A pinhole camera: intrinsics + world-to-camera extrinsics. */
 class Camera
 {
@@ -101,7 +108,7 @@ class Camera
      * (projected Gaussians slightly off-screen can still contribute).
      */
     bool
-    inFrustum(const Vec3 &v, float guard_band = 1.3f) const
+    inFrustum(const Vec3 &v, float guard_band = kFrustumGuardBand) const
     {
         if (v.z < near_)
             return false;
@@ -111,6 +118,18 @@ class Camera
                       v.z / focal_y_;
         return v.x > -lim_x && v.x < lim_x && v.y > -lim_y && v.y < lim_y;
     }
+
+    /**
+     * True only when no point of the world-space box [@p lo, @p hi]
+     * passes the mean tests of projectGaussian (near plane, then
+     * inFrustum): all eight corners lie behind the near plane, or all
+     * eight lie outside one guard-banded side plane.  Conservative by
+     * construction: the box is first grown by a margin that covers the
+     * float rounding of worldToView and of the side limits, and a mean
+     * decoded up to 1e-6 outside its chunk's AABB.  NaN anywhere makes
+     * it return false.
+     */
+    bool boxOutsideFrustum(const Vec3 &lo, const Vec3 &hi) const;
 
     /**
      * Copy of this camera rendering to an @p s -scaled viewport: width

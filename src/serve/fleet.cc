@@ -32,6 +32,12 @@ validateFleetSpec(const FleetSpec &spec)
          spec.degrade_render_scale >= 1.0f ||
          !(spec.degrade_tau_factor >= 1.0f)))
         throw std::invalid_argument("fleet degrade knobs out of range");
+    // A huge tau becomes inf as a float, alone or scaled by the
+    // coarse-LOD tier's factor; no level selection means anything then.
+    if (!lodCutParamsValid(spec.lod_cut,
+                           spec.degrade ? spec.degrade_tau_factor : 1.0f))
+        throw std::invalid_argument(
+            "fleet LOD cut tau and bias must be finite and > 0");
 }
 
 std::vector<Session>

@@ -79,7 +79,9 @@ struct FleetSpec
  * std::invalid_argument on degenerate configs that would otherwise
  * flow into the EDF deadline math (negative, NaN or infinite
  * fps_target; sessions/frames < 1; empty scene or renderer lists;
- * out-of-range scale or degrade knobs).  buildFleet() calls this
+ * out-of-range scale or degrade knobs; a LOD cut tau or bias that is
+ * not finite and > 0, alone or scaled by degrade_tau_factor; see
+ * lodCutParamsValid).  buildFleet() calls this
  * first; callers constructing SessionConfigs by hand can reuse it.
  */
 void validateFleetSpec(const FleetSpec &spec);

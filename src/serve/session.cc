@@ -78,6 +78,10 @@ Session::Session(SessionConfig config, SceneHandle scene)
          config_.degrade_render_scale >= 1.0f ||
          !(config_.degrade_tau_factor >= 1.0f)))
         throw std::invalid_argument("degrade knobs out of range");
+    if (!lodCutParamsValid(config_.lod_cut, config_.degrade
+                                                ? config_.degrade_tau_factor
+                                                : 1.0f))
+        throw std::invalid_argument("LOD cut tau/bias out of range");
     // A temporal cache exists when temporal streaming is requested,
     // or when the degradation ladder needs a warp source (keep_exact
     // maintains the exact snapshot + depth buffer at every == 1).
@@ -110,18 +114,19 @@ Session::renderFrame(int frame, FrameStageCost *cost) const
 }
 
 double
-Session::renderCut(const Camera &cam, const LodCutParams &cut_params,
-                   const Camera &render_cam, bool temporal,
-                   bool force_warp, FrameStageCost *cost) const
+Session::renderCut(const LodCutParams &cut_params, const Camera &render_cam,
+                   bool temporal, bool force_warp,
+                   FrameStageCost *cost) const
 {
-    // LOD sessions render the camera's cut; resident-cloud sessions
-    // render the shared cloud.  Both are pure in (scene, camera).
+    // LOD sessions render the camera's cut, culled against the
+    // frustum that renders; resident-cloud sessions render the shared
+    // cloud.  Both are pure in (scene, camera).
     GaussianCloud cut;
     const GaussianCloud *cloud = scene_.cloud.get();
     double decode_ms = 0.0;
     if (scene_.lod) {
         obs::PerfScope decode_scope(obs::Stage::Decode, &decode_ms);
-        cut = scene_.lod->buildCut(cam, cut_params);
+        cut = scene_.lod->buildCut(render_cam, cut_params);
         cloud = &cut;
     }
     Image image;
@@ -201,7 +206,7 @@ Session::renderFrameDegraded(int frame, DegradeTier tier,
     const TemporalCounters before =
         temporal ? temporal_->counters() : TemporalCounters{};
     const double checksum =
-        renderCut(cam, cut_params, render_cam, temporal,
+        renderCut(cut_params, render_cam, temporal,
                   tier == DegradeTier::Warp, cost);
     if (served != nullptr) {
         const bool warp_served =

@@ -271,11 +271,11 @@ class Session
     }
 
   private:
-    /** Render @p cam's LOD cut under @p cut_params (or the resident
-     *  cloud) at @p render_cam, through the temporal cache when
-     *  @p temporal (forwarding @p force_warp); fills @p cost (may be
-     *  null). */
-    double renderCut(const Camera &cam, const LodCutParams &cut_params,
+    /** Render @p render_cam's LOD cut under @p cut_params (or the
+     *  resident cloud) at @p render_cam, through the temporal cache
+     *  when @p temporal (forwarding @p force_warp); fills @p cost (may
+     *  be null). */
+    double renderCut(const LodCutParams &cut_params,
                      const Camera &render_cam, bool temporal,
                      bool force_warp, FrameStageCost *cost) const;
 

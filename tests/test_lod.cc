@@ -7,19 +7,24 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "lod/lod_builder.h"
 #include "lod/lod_scene.h"
 #include "lod/residency.h"
 #include "obs/fault_hooks.h"
+#include "render/gaussian_wise_renderer.h"
 #include "render/metrics.h"
+#include "render/preprocess.h"
 #include "render/tile_renderer.h"
 #include "runtime/sweep_runner.h"
 #include "serve/fleet.h"
@@ -209,8 +214,10 @@ TEST(LodScene, ForcedLeafCutEqualsFullScene)
     params.force_level = 0;
     LodCutStats stats;
     GaussianCloud cut = lod.buildCut(test::frontCamera(), params, &stats);
-    // Every Gaussian present (chunk order differs from source order).
-    EXPECT_EQ(cut.size(), cloud.size());
+    // Every Gaussian selected (chunk order differs from source order);
+    // the cloud holds all but those of chunks outside the frustum.
+    EXPECT_EQ(stats.cut_gaussians, cloud.size());
+    EXPECT_EQ(cut.size() + stats.culled_gaussians, cloud.size());
     EXPECT_EQ(stats.leaf_gaussians, cloud.size());
     EXPECT_EQ(stats.proxy_chunks, 0u);
     EXPECT_EQ(stats.leaf_chunks, lod.chunkCount());
@@ -387,6 +394,20 @@ cloudDigest(const GaussianCloud &cloud)
     return h;
 }
 
+/** Every Gaussian of @p a equals @p b's at the same index, bit for bit. */
+::testing::AssertionResult
+sameGaussians(const GaussianCloud &a, const GaussianCloud &b)
+{
+    static_assert(sizeof(Gaussian) == Gaussian::kTotalBytes);
+    if (a.size() != b.size())
+        return ::testing::AssertionFailure()
+               << "sizes " << a.size() << " vs " << b.size();
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (std::memcmp(&a[i], &b[i], sizeof(Gaussian)) != 0)
+            return ::testing::AssertionFailure() << "first difference at " << i;
+    return ::testing::AssertionSuccess();
+}
+
 TEST(LodScene, QuantizedDecodeDigestIsPinned)
 {
     // Digests of the leaf decode (fullCloud and loadCloud) and of the
@@ -497,6 +518,220 @@ TEST(LodScene, FileCutMidChunkFailsCleanly)
 
     std::filesystem::remove(path);
     std::filesystem::remove(copy);
+}
+
+// ---- frustum cull ----
+
+/** A generated file's directory and every chunk's decoded leaves. */
+struct DecodedLodFile
+{
+    GscV2Reader dir;
+    std::vector<std::vector<Gaussian>> leaves;
+
+    explicit DecodedLodFile(const std::string &path)
+        : dir(readDirectory(path)), leaves(dir.chunkCount())
+    {
+        std::ifstream in(path, std::ios::binary);
+        std::vector<unsigned char> payload;
+        std::vector<std::uint32_t> indices;
+        for (std::size_t i = 0; i < dir.chunkCount(); ++i) {
+            dir.readChunk(in, i, payload);
+            dir.decodeChunk(i, payload, leaves[i], indices);
+        }
+    }
+
+    /** Chunk @p i's Gaussians at @p level (0 = leaves). */
+    const std::vector<Gaussian> &
+    atLevel(std::size_t i, int level) const
+    {
+        return level == 0
+                   ? leaves[i]
+                   : dir.chunk(i).proxies[static_cast<std::size_t>(level - 1)];
+    }
+
+    /** Every chunk at @p level in chunk order: the cut with no cull. */
+    GaussianCloud
+    unculledCut(int level) const
+    {
+        GaussianCloud cut(dir.name());
+        for (std::size_t i = 0; i < dir.chunkCount(); ++i)
+            cut.append(atLevel(i, level));
+        return cut;
+    }
+};
+
+/** tinySpec's cloud plus a flat cluster well above it (its chunk's
+ *  AABB has zero y extent), written with @p levels proxy levels. */
+void
+writeCullScene(const std::string &path, bool quantize, int levels)
+{
+    GaussianCloud cloud = generateScene(test::tinySpec(44, 1500), 1.0f);
+    for (int k = 0; k < 64; ++k)
+        cloud.add(test::makeGaussian(
+            Vec3(-0.4f + 0.1f * static_cast<float>(k % 8), 5.0f,
+                 -0.4f + 0.1f * static_cast<float>(k / 8)),
+            0.05f));
+    LodBuildConfig cfg;
+    cfg.chunk_target = 64;
+    cfg.proxy_levels = levels;
+    cfg.proxy_base = 8;
+    cfg.quantize = quantize;
+    EXPECT_TRUE(buildLodFile(cloud, path, cfg));
+}
+
+/** The cameras both cull properties are checked from. */
+std::vector<std::pair<std::string, Camera>>
+cullCameras()
+{
+    std::vector<std::pair<std::string, Camera>> cams;
+    cams.emplace_back("front", test::frontCamera());
+    Camera inside = test::frontCamera();
+    inside.lookAt(Vec3(0.2f, 0.1f, 0.3f), Vec3(1.0f, 0.0f, 1.0f));
+    cams.emplace_back("inside", inside);
+    Camera straddle = test::frontCamera();
+    straddle.setNearPlane(4.0f);  // the near plane cuts the cloud
+    cams.emplace_back("straddle", straddle);
+    Camera away = test::frontCamera();
+    away.lookAt(Vec3(0.0f, 0.5f, -4.0f), Vec3(0.0f, 0.5f, -8.0f));
+    cams.emplace_back("away", away);
+    cams.emplace_back("1x1", test::frontCamera(1, 1));
+    cams.emplace_back("half", test::frontCamera().scaledResolution(0.5f));
+    return cams;
+}
+
+TEST(LodCull, RejectedChunksHoldNoGaussianThatProjects)
+{
+    for (bool quantize : {false, true}) {
+        for (int levels = 0; levels <= 3; ++levels) {
+            SCOPED_TRACE(::testing::Message()
+                         << "quantize " << quantize << " levels " << levels);
+            const std::string path = tempLodPath("cull-conservative");
+            writeCullScene(path, quantize, levels);
+            const DecodedLodFile file(path);
+            std::size_t flat = 0;
+            for (std::size_t i = 0; i < file.dir.chunkCount(); ++i)
+                if (file.dir.chunk(i).lo.y == file.dir.chunk(i).hi.y)
+                    flat = i;
+            ASSERT_EQ(file.dir.chunk(flat).lo.y, 5.0f);
+
+            for (const auto &[name, cam] : cullCameras()) {
+                std::size_t rejected = 0;
+                for (std::size_t i = 0; i < file.dir.chunkCount(); ++i) {
+                    const GscV2ChunkInfo &info = file.dir.chunk(i);
+                    if (!cam.boxOutsideFrustum(info.lo, info.hi))
+                        continue;
+                    ++rejected;
+                    for (int level = 0; level <= levels; ++level)
+                        for (const Gaussian &g : file.atLevel(i, level))
+                            EXPECT_FALSE(projectGaussian(g, 0, cam, nullptr))
+                                << name << " chunk " << i << " level "
+                                << level;
+                }
+                if (name == "away") {
+                    EXPECT_EQ(rejected, file.dir.chunkCount());
+                } else if (name == "front") {
+                    // The flat chunk lies above the top plane.
+                    EXPECT_TRUE(cam.boxOutsideFrustum(
+                        file.dir.chunk(flat).lo, file.dir.chunk(flat).hi));
+                }
+            }
+            std::filesystem::remove(path);
+        }
+    }
+}
+
+TEST(LodCull, CulledCutRendersLikeTheUnculledCut)
+{
+    GaussianWiseConfig cmode;
+    cmode.subview_size = 64;
+    const TileRenderer tile{TileRendererConfig{}};
+    const GaussianWiseRenderer gw_full{GaussianWiseConfig{}};
+    const GaussianWiseRenderer gw_cmode{cmode};
+    for (bool quantize : {false, true}) {
+        for (int levels = 0; levels <= 3; ++levels) {
+            const std::string path = tempLodPath("cull-exact");
+            writeCullScene(path, quantize, levels);
+            const DecodedLodFile file(path);
+            LodScene lod(path, 16u << 20);
+            for (const auto &[name, cam] : cullCameras()) {
+                for (int level = -1; level <= levels; ++level) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "quantize " << quantize << " levels "
+                                 << levels << " camera " << name
+                                 << " level " << level);
+                    LodCutParams params;
+                    params.force_level = level;
+                    LodCutStats stats;
+                    const GaussianCloud cut = lod.buildCut(cam, params, &stats);
+                    EXPECT_EQ(cut.size(),
+                              stats.cut_gaussians - stats.culled_gaussians);
+                    EXPECT_GT(stats.culled_chunks, 0u);  // every camera culls
+                    if (name == "away") {
+                        EXPECT_TRUE(cut.empty());
+                    }
+                    if (level < 0)
+                        continue;  // the distance-selected cut: counts only
+                    const GaussianCloud full = file.unculledCut(level);
+                    EXPECT_EQ(stats.cut_gaussians, full.size());
+
+                    StandardFlowStats ts_cut, ts_full;
+                    EXPECT_TRUE(test::imagesBitIdentical(
+                        tile.render(cut, cam, ts_cut),
+                        tile.render(full, cam, ts_full)));
+                    EXPECT_EQ(ts_cut.alpha_evals, ts_full.alpha_evals);
+                    EXPECT_EQ(ts_cut.kv_pairs, ts_full.kv_pairs);
+                    for (const GaussianWiseRenderer *gw : {&gw_full, &gw_cmode}) {
+                        GaussianWiseStats gs_cut, gs_full;
+                        EXPECT_TRUE(test::imagesBitIdentical(
+                            gw->render(cut, cam, gs_cut),
+                            gw->render(full, cam, gs_full)));
+                        EXPECT_EQ(gs_cut.alpha_evals, gs_full.alpha_evals);
+                        EXPECT_EQ(gs_cut.blend_ops, gs_full.blend_ops);
+                    }
+                }
+            }
+            std::filesystem::remove(path);
+        }
+    }
+}
+
+TEST(LodScene, InfiniteTauOrBiasSelectsAValidLevel)
+{
+    GaussianCloud cloud = generateScene(test::tinySpec(45, 1200), 1.0f);
+    const std::string path = tempLodPath("inf-tau");
+    LodBuildConfig cfg;
+    cfg.chunk_target = 100;
+    cfg.proxy_levels = 2;
+    ASSERT_TRUE(buildLodFile(cloud, path, cfg));
+    LodScene lod(path, 16u << 20);
+    const float inf = std::numeric_limits<float>::infinity();
+    const Camera cam = test::frontCamera();
+    for (const auto &[tau, bias] : {std::pair{inf, 1.0f}, std::pair{0.08f, inf},
+                                    std::pair{inf, inf}}) {
+        LodCutParams params;
+        params.tau = tau;
+        params.bias = bias;
+        EXPECT_FALSE(lodCutParamsValid(params));
+        LodCutStats stats;
+        const GaussianCloud cut = lod.buildCut(cam, params, &stats);
+        EXPECT_EQ(stats.leaf_chunks + stats.proxy_chunks, lod.chunkCount());
+        EXPECT_LE(stats.cut_gaussians, cloud.size());
+        EXPECT_EQ(cut.size(), stats.cut_gaussians - stats.culled_gaussians);
+        if (std::isinf(tau) && bias == 1.0f) {
+            EXPECT_EQ(stats.leaf_chunks, 0u);  // the camera is outside
+        } else {
+            EXPECT_EQ(stats.proxy_chunks, 0u);  // inf angle: all leaves
+        }
+    }
+    LodCutParams sane;
+    EXPECT_TRUE(lodCutParamsValid(sane));
+    sane.tau = 1e30f;
+    EXPECT_TRUE(lodCutParamsValid(sane));
+    EXPECT_FALSE(lodCutParamsValid(sane, 1e30f));  // tau x factor is inf
+    sane.tau = 0.0f;
+    EXPECT_FALSE(lodCutParamsValid(sane));
+
+    std::filesystem::remove(path);
 }
 
 // ---- residency manager ----
@@ -859,31 +1094,37 @@ TEST(LodScene, ConcurrentFaultyCutsAgreeAndHonourTheBudget)
     ASSERT_TRUE(buildLodFile(cloud, path, cfg));
 
     // Tight budget + transient decode faults + budget pressure, four
-    // concurrent cut builders: every cut must still be the full leaf
-    // cut (retries recover, transient loads cover the squeeze), the
-    // byte budget must hold, and the run must terminate.
+    // concurrent cut builders: every cut must still equal the clean
+    // leaf cut, element by element (retries recover, transient loads
+    // cover the squeeze), the byte budget must hold, and the run must
+    // terminate.
     const std::size_t budget = 128u * 1024;
     LodScene lod(path, budget);
+    LodCutParams params;
+    params.force_level = 0;
+    Camera cam = test::frontCamera();
+    // The reference: one serial cut, before any fault or squeeze.
+    const GaussianCloud clean = LodScene(path, 16u << 20).buildCut(cam, params);
+
     ScriptedInjector inj;
     inj.decode_fail_first = true;
     inj.pressure_all = true;
     InjectorScope scope(&inj);
 
-    LodCutParams params;
-    params.force_level = 0;
-    Camera cam = test::frontCamera();
-    std::vector<std::size_t> sizes(4, 0);
+    std::vector<GaussianCloud> cuts(4);
+    std::vector<LodCutStats> stats(4);
     std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t)
+    for (std::size_t t = 0; t < cuts.size(); ++t)
         threads.emplace_back([&, t] {
-            sizes[static_cast<std::size_t>(t)] =
-                lod.buildCut(cam, params).size();
+            cuts[t] = lod.buildCut(cam, params, &stats[t]);
         });
     for (std::thread &t : threads)
         t.join();
 
-    for (std::size_t size : sizes)
-        EXPECT_EQ(size, cloud.size());
+    for (std::size_t t = 0; t < cuts.size(); ++t) {
+        EXPECT_EQ(stats[t].cut_gaussians, cloud.size());
+        EXPECT_TRUE(sameGaussians(cuts[t], clean)) << "thread " << t;
+    }
     EXPECT_LE(lod.residencyStats().peak_resident_bytes, budget);
     EXPECT_GT(lod.residencyStats().pressure_events, 0u);
 

@@ -25,25 +25,7 @@
 namespace gcc3d {
 namespace {
 
-/** Bitwise image comparison: float-exact, reporting the first diff. */
-::testing::AssertionResult
-imagesBitIdentical(const Image &a, const Image &b)
-{
-    if (a.width() != b.width() || a.height() != b.height())
-        return ::testing::AssertionFailure() << "shape mismatch";
-    const auto &pa = a.pixels();
-    const auto &pb = b.pixels();
-    if (std::memcmp(pa.data(), pb.data(),
-                    pa.size() * sizeof(Vec3)) == 0)
-        return ::testing::AssertionSuccess();
-    for (std::size_t i = 0; i < pa.size(); ++i) {
-        if (std::memcmp(&pa[i], &pb[i], sizeof(Vec3)) != 0)
-            return ::testing::AssertionFailure()
-                   << "first differing pixel " << i << ": " << pa[i]
-                   << " vs " << pb[i];
-    }
-    return ::testing::AssertionFailure() << "memcmp/pixel walk disagree";
-}
+using test::imagesBitIdentical;
 
 void
 expectStatsIdentical(const StandardFlowStats &a, const StandardFlowStats &b)

@@ -6,8 +6,12 @@
 #ifndef GCC3D_TESTS_TEST_UTIL_H
 #define GCC3D_TESTS_TEST_UTIL_H
 
+#include <gtest/gtest.h>
+
+#include <cstring>
 #include <random>
 
+#include "render/image.h"
 #include "scene/scene_generator.h"
 #include "scene/scene_presets.h"
 
@@ -89,6 +93,26 @@ clampedScene(const SceneSpec &spec)
     cloud.add(makeGaussian(Vec3(0.0f, 0.1f, -0.6f), 0.3f, 0.995f));
     cloud.add(makeGaussian(Vec3(0.3f, -0.1f, -0.7f), 0.3f, 1.0f));
     return cloud;
+}
+
+/** Bitwise image comparison: float-exact, reporting the first diff. */
+inline ::testing::AssertionResult
+imagesBitIdentical(const Image &a, const Image &b)
+{
+    if (a.width() != b.width() || a.height() != b.height())
+        return ::testing::AssertionFailure() << "shape mismatch";
+    const auto &pa = a.pixels();
+    const auto &pb = b.pixels();
+    if (std::memcmp(pa.data(), pb.data(),
+                    pa.size() * sizeof(Vec3)) == 0)
+        return ::testing::AssertionSuccess();
+    for (std::size_t i = 0; i < pa.size(); ++i) {
+        if (std::memcmp(&pa[i], &pb[i], sizeof(Vec3)) != 0)
+            return ::testing::AssertionFailure()
+                   << "first differing pixel " << i << ": " << pa[i]
+                   << " vs " << pb[i];
+    }
+    return ::testing::AssertionFailure() << "memcmp/pixel walk disagree";
 }
 
 } // namespace gcc3d::test
