@@ -5,34 +5,10 @@
 
 namespace gcc3d {
 
-namespace {
-
-// Real spherical harmonics constants (matching the 3DGS reference
-// rasterizer's SH_C0..SH_C3 tables).
-constexpr float kC0 = 0.28209479177387814f;
-constexpr float kC1 = 0.4886025119029199f;
-constexpr float kC2[5] = {
-    1.0925484305920792f,
-    -1.0925484305920792f,
-    0.31539156525252005f,
-    -1.0925484305920792f,
-    0.5462742152960396f,
-};
-constexpr float kC3[7] = {
-    -0.5900435899266435f,
-    2.890611442640554f,
-    -0.4570457994644658f,
-    0.3731763325901154f,
-    -0.4570457994644658f,
-    1.445305721320277f,
-    -0.5900435899266435f,
-};
-
-} // namespace
-
 ShBasis
 shBasis(const Vec3 &dir)
 {
+    using namespace sh_constants;
     Vec3 d = dir.normalized();
     float x = d.x, y = d.y, z = d.z;
     float xx = x * x, yy = y * y, zz = z * z;

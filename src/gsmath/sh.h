@@ -29,6 +29,32 @@ inline constexpr int kShCoeffsPerChannel = (kShDegree + 1) * (kShDegree + 1);
 /** Total SH parameters per Gaussian (3 channels x 16). */
 inline constexpr int kShCoeffsTotal = 3 * kShCoeffsPerChannel;
 
+/**
+ * Real spherical harmonics constants (matching the 3DGS reference
+ * rasterizer's SH_C0..SH_C3 tables); shared by shBasis and the tile
+ * renderer's lane-group transcription of it.
+ */
+namespace sh_constants {
+inline constexpr float kC0 = 0.28209479177387814f;
+inline constexpr float kC1 = 0.4886025119029199f;
+inline constexpr float kC2[5] = {
+    1.0925484305920792f,
+    -1.0925484305920792f,
+    0.31539156525252005f,
+    -1.0925484305920792f,
+    0.5462742152960396f,
+};
+inline constexpr float kC3[7] = {
+    -0.5900435899266435f,
+    2.890611442640554f,
+    -0.4570457994644658f,
+    0.3731763325901154f,
+    -0.4570457994644658f,
+    1.445305721320277f,
+    -0.5900435899266435f,
+};
+} // namespace sh_constants
+
 /** SH basis values Y_00..Y_33 for a unit direction. */
 using ShBasis = std::array<float, kShCoeffsPerChannel>;
 

@@ -570,6 +570,25 @@ struct IntV
     }
 
     IntV
+    operator-(const IntV &o) const
+    {
+        IntV r;
+#if defined(GCC3D_SIMD_AVX2)
+        r.v = _mm256_sub_epi32(v, o.v);
+#elif defined(GCC3D_SIMD_SSE2)
+        r.v = _mm_sub_epi32(v, o.v);
+#elif defined(GCC3D_SIMD_NEON)
+        r.v = vsubq_s32(v, o.v);
+#else
+        for (int i = 0; i < 4; ++i)
+            r.v[i] = static_cast<std::int32_t>(
+                static_cast<std::uint32_t>(v[i]) -
+                static_cast<std::uint32_t>(o.v[i]));
+#endif
+        return r;
+    }
+
+    IntV
     operator|(const IntV &o) const
     {
         IntV r;
@@ -803,6 +822,93 @@ cmpEq(const IntV &a, const IntV &b)
 }
 
 /**
+ * Truncating float -> int conversion per lane: static_cast<int32_t>
+ * for in-range values.  Out of range (and NaN) each backend gives what
+ * its scalar conversion instruction gives: INT32_MIN on x86,
+ * saturation on NEON.
+ */
+inline IntV
+truncToInt(const FloatV &f)
+{
+    IntV r;
+#if defined(GCC3D_SIMD_AVX2)
+    r.v = _mm256_cvttps_epi32(f.v);
+#elif defined(GCC3D_SIMD_SSE2)
+    r.v = _mm_cvttps_epi32(f.v);
+#elif defined(GCC3D_SIMD_NEON)
+    r.v = vcvtq_s32_f32(f.v);
+#else
+    for (int i = 0; i < 4; ++i)
+        r.v[i] = static_cast<std::int32_t>(f.v[i]);
+#endif
+    return r;
+}
+
+/** Lane-wise signed i32 a > b. */
+inline MaskV
+cmpGt(const IntV &a, const IntV &b)
+{
+    MaskV r;
+#if defined(GCC3D_SIMD_AVX2)
+    r.m = _mm256_castsi256_ps(_mm256_cmpgt_epi32(a.v, b.v));
+#elif defined(GCC3D_SIMD_SSE2)
+    r.m = _mm_castsi128_ps(_mm_cmpgt_epi32(a.v, b.v));
+#elif defined(GCC3D_SIMD_NEON)
+    r.m = vcgtq_s32(a.v, b.v);
+#else
+    for (int i = 0; i < 4; ++i)
+        r.m[i] = a.v[i] > b.v[i] ? 0xffffffffu : 0u;
+#endif
+    return r;
+}
+
+/** Lane-wise std::max / std::min of signed i32. */
+inline IntV
+maxInt(const IntV &a, const IntV &b)
+{
+    return selectInt(cmpGt(b, a), b, a);
+}
+
+inline IntV
+minInt(const IntV &a, const IntV &b)
+{
+    return selectInt(cmpGt(a, b), b, a);
+}
+
+namespace int_detail {
+/** Lanes where truncToInt's result is a real conversion, not the
+ *  out-of-range value of some backend. */
+inline MaskV
+inRange(const IntV &i)
+{
+    return MaskV::fromBits(
+        ~(cmpEq(i, IntV(INT32_MIN)) | cmpEq(i, IntV(INT32_MAX))).bits());
+}
+} // namespace int_detail
+
+/**
+ * static_cast<int32_t>(std::floor(x)) per lane, on every backend the
+ * value its scalar form gives (the correction is skipped where the
+ * conversion hit its out-of-range value, which floor(x) == x keeps).
+ */
+inline IntV
+floorToInt(const FloatV &x)
+{
+    const IntV i = truncToInt(x);
+    const MaskV fix = (toFloat(i) > x) & int_detail::inRange(i);
+    return selectInt(fix, i - IntV(1), i);
+}
+
+/** static_cast<int32_t>(std::ceil(x)) per lane (see floorToInt). */
+inline IntV
+ceilToInt(const FloatV &x)
+{
+    const IntV i = truncToInt(x);
+    const MaskV fix = (toFloat(i) < x) & int_detail::inRange(i);
+    return selectInt(fix, i + IntV(1), i);
+}
+
+/**
  * Lane-wise minimum with SSE semantics: min(a, b) = a < b ? a : b
  * (b wins when a is NaN or when the values compare equal).
  */
@@ -842,6 +948,32 @@ max(const FloatV &a, const FloatV &b)
         r.v[i] = a.v[i] > b.v[i] ? a.v[i] : b.v[i];
 #endif
     return r;
+}
+
+/** Lane-wise IEEE square root (correctly rounded, as std::sqrt). */
+inline FloatV
+sqrt(const FloatV &a)
+{
+    FloatV r;
+#if defined(GCC3D_SIMD_AVX2)
+    r.v = _mm256_sqrt_ps(a.v);
+#elif defined(GCC3D_SIMD_SSE2)
+    r.v = _mm_sqrt_ps(a.v);
+#elif defined(GCC3D_SIMD_NEON)
+    r.v = vsqrtq_f32(a.v);
+#else
+    for (int i = 0; i < 4; ++i)
+        r.v[i] = std::sqrt(a.v[i]);
+#endif
+    return r;
+}
+
+/** Lane-wise negation: flips the sign bit, as scalar unary minus
+ *  does (-(+0) is -0, unlike 0 - x). */
+inline FloatV
+neg(const FloatV &a)
+{
+    return bitcastToFloat(bitcastToInt(a) ^ IntV(INT32_MIN));
 }
 
 // =====================================================================

@@ -89,7 +89,9 @@ LodScene::LodScene(const std::string &path, std::size_t budget_bytes)
       obs_culled_chunks_(obs::MetricsRegistry::global().counter(
           "lod.cut.culled_chunks")),
       obs_culled_gaussians_(obs::MetricsRegistry::global().counter(
-          "lod.cut.culled_gaussians"))
+          "lod.cut.culled_gaussians")),
+      obs_copied_bytes_(obs::MetricsRegistry::global().counter(
+          "lod.cut.copied_bytes"))
 {
     if (!stream_)
         throw std::runtime_error("cannot open scene file: " + path);
@@ -146,15 +148,14 @@ LodScene::decodeLeaf(std::size_t index, std::vector<Gaussian> &gaussians,
     reader_->decodeChunk(index, payload, gaussians, indices);
 }
 
-GaussianCloud
-LodScene::buildCut(const Camera &camera, const LodCutParams &params,
-                   LodCutStats *stats)
+LodCut
+LodScene::cut(const Camera &camera, const LodCutParams &params,
+              LodCutStats *stats)
 {
     // Levels first: the directory gives every chunk's size at its
-    // level, so the cut is allocated once and filled chunk by chunk.
-    // A chunk outside the frustum is counted at its level and marked
-    // culled: no splat of it could survive projection, so it is
-    // never fetched, decoded or copied.  Cached leaves are fetched in
+    // level.  A chunk outside the frustum is counted at its level and
+    // marked culled: no splat of it could survive projection, so it
+    // is never fetched or decoded.  Cached leaves are fetched in
     // the same pass, before any miss is decoded: a cut's leaves can
     // outnumber the budget, and fetched in index order LRU would
     // evict each cached leaf just before the scan reaches it.  The
@@ -163,7 +164,6 @@ LodScene::buildCut(const Camera &camera, const LodCutParams &params,
     const Vec3 &cam = camera.position();
     std::vector<int> levels(reader_->chunkCount());
     std::vector<std::shared_ptr<const ResidentChunk>> leaves(levels.size());
-    std::size_t cut_size = 0;
     LodCutStats local;
     for (std::size_t i = 0; i < levels.size(); ++i) {
         const GscV2ChunkInfo &info = reader_->chunk(i);
@@ -186,7 +186,6 @@ LodScene::buildCut(const Camera &camera, const LodCutParams &params,
             continue;
         }
         levels[i] = level;
-        cut_size += count;
         if (level == 0)
             leaves[i] = residency_.lookup(i);
     }
@@ -194,8 +193,7 @@ LodScene::buildCut(const Camera &camera, const LodCutParams &params,
     obs_culled_gaussians_.add(
         static_cast<std::int64_t>(local.culled_gaussians));
 
-    GaussianCloud cut(reader_->name());
-    cut.reserve(cut_size);
+    LodCut cut;
     for (std::size_t i = 0; i < levels.size(); ++i) {
         const GscV2ChunkInfo &info = reader_->chunk(i);
         if (levels[i] == kCulled)
@@ -215,24 +213,37 @@ LodScene::buildCut(const Camera &camera, const LodCutParams &params,
                         .counter("lod.chunk.proxy_fallbacks")
                         .add();
                     ++local.proxy_fallbacks;
-                    cut.append(info.proxies[0]);
+                    cut.view.append(info.proxies[0]);
                     ++local.proxy_chunks;
                     continue;
                 }
                 throw;  // flat file: nothing to degrade to
             }
-            cut.append(leaf->gaussians);
+            cut.view.append(leaf->gaussians);
             ++local.leaf_chunks;
             local.leaf_gaussians += leaf->gaussians.size();
+            cut.pins.push_back(std::move(leaf));
         } else {
-            cut.append(info.proxies[static_cast<std::size_t>(levels[i] - 1)]);
+            cut.view.append(
+                info.proxies[static_cast<std::size_t>(levels[i] - 1)]);
             ++local.proxy_chunks;
         }
     }
-    local.cut_gaussians = cut.size() + local.culled_gaussians;
+    local.cut_gaussians = cut.view.size() + local.culled_gaussians;
     if (stats != nullptr)
         *stats = local;
     return cut;
+}
+
+GaussianCloud
+LodScene::buildCut(const Camera &camera, const LodCutParams &params,
+                   LodCutStats *stats)
+{
+    GaussianCloud cloud =
+        cut(camera, params, stats).view.copy(reader_->name());
+    obs_copied_bytes_.add(
+        static_cast<std::int64_t>(cloud.size() * sizeof(Gaussian)));
+    return cloud;
 }
 
 GaussianCloud

@@ -5,19 +5,24 @@
  * LodScene glues the three pieces of the LOD subsystem together: the
  * GscV2Reader (chunk directory + always-resident proxy pyramid), the
  * camera-distance cut selector, and the budgeted ResidencyManager for
- * leaf chunks.  A *cut* is a per-frame GaussianCloud that renders
- * each chunk at exactly one level: leaves (level 0) when the chunk
- * subtends a large enough angle from the camera, a proxy level
- * otherwise.  Coarser chunks contribute proxies already in RAM;
- * level-0 chunks fault their leaves in through the residency cache,
+ * leaf chunks.  A *cut* renders each chunk at exactly one level:
+ * leaves (level 0) when the chunk subtends a large enough angle from
+ * the camera, a proxy level otherwise.  It is a list of borrowed
+ * spans in chunk order — proxies point into the always-resident
+ * pyramid, leaves into decoded chunks the cut pins for its lifetime —
+ * that the tile renderer reads directly, so no Gaussian is copied.
+ * Level-0 chunks fault their leaves in through the residency cache,
  * cached leaves first so that a cut larger than the budget does not
- * evict the leaves it is about to reuse.  A chunk whose AABB lies
- * wholly outside the camera's frustum (Camera::boxOutsideFrustum) is
- * absent from the cut at whatever level it was selected: none of its
- * Gaussians could pass projection, so it is never looked up, faulted,
- * decoded or copied, and the survivors keep their chunk order.  The
- * cull trusts each chunk's directory AABB to bound its Gaussians'
- * means, as every file the LOD builder writes does.
+ * evict the leaves it is about to reuse; a pinned leaf evicted while
+ * the frame renders is freed when the cut drops its pin.  A chunk
+ * whose AABB lies wholly outside the camera's frustum
+ * (Camera::boxOutsideFrustum) is absent from the cut at whatever
+ * level it was selected: none of its Gaussians could pass projection,
+ * so it is never looked up, faulted or decoded, and the survivors
+ * keep their chunk order.  The cull trusts each chunk's directory
+ * AABB to bound its Gaussians' means, as every file the LOD builder
+ * writes does.  buildCut() copies a cut into a GaussianCloud for
+ * callers that need one (the Gaussian-wise renderer, tests).
  *
  * The cut depends only on the camera and the cut parameters — never
  * on cache state (over-budget chunks load transiently rather than
@@ -73,10 +78,10 @@ struct LodCutParams
 bool lodCutParamsValid(const LodCutParams &params, float tau_factor = 1.0f);
 
 /**
- * What a single buildCut() selected (for benches and tests).  The
+ * What a single cut() selected (for benches and tests).  The
  * selection counters include frustum-culled chunks, so they depend on
- * the camera position and the cut parameters only; the returned cloud
- * holds cut_gaussians - culled_gaussians Gaussians.
+ * the camera position and the cut parameters only; the cut holds
+ * cut_gaussians - culled_gaussians Gaussians.
  */
 struct LodCutStats
 {
@@ -90,6 +95,19 @@ struct LodCutStats
      *  retries were exhausted (fault injection / persistent IO
      *  corruption only; see LodScene::loadLeaf). */
     std::size_t proxy_fallbacks = 0;
+};
+
+/**
+ * One frame's cut: the selected chunks' Gaussians as spans in chunk
+ * order, and a pin on every decoded leaf chunk a span points into.
+ * Proxy spans point into the LodScene's always-resident pyramid, so
+ * the scene must outlive the cut.  Gaussian i of the view is Gaussian
+ * i of the cloud buildCut() would return.
+ */
+struct LodCut
+{
+    CloudView view;
+    std::vector<std::shared_ptr<const ResidentChunk>> pins;
 };
 
 /**
@@ -121,11 +139,14 @@ class LodScene
     std::size_t alwaysResidentBytes() const { return proxy_bytes_; }
 
     /**
-     * Build the cut cloud for @p camera: the chunks its position
-     * selects, less those outside its frustum, in chunk order.
-     * Deterministic in (file, camera, params); cache state never
-     * changes the result.
+     * The cut for @p camera: the chunks its position selects, less
+     * those outside its frustum, in chunk order.  Deterministic in
+     * (file, camera, params); cache state never changes the result.
      */
+    LodCut cut(const Camera &camera, const LodCutParams &params,
+               LodCutStats *stats = nullptr);
+
+    /** cut() copied into one cloud (counted in lod.cut.copied_bytes). */
     GaussianCloud buildCut(const Camera &camera, const LodCutParams &params,
                            LodCutStats *stats = nullptr);
 
@@ -163,6 +184,7 @@ class LodScene
     std::size_t proxy_bytes_ = 0; ///< immutable after construction
     obs::Counter &obs_culled_chunks_;     ///< lod.cut.culled_chunks
     obs::Counter &obs_culled_gaussians_;  ///< lod.cut.culled_gaussians
+    obs::Counter &obs_copied_bytes_;      ///< lod.cut.copied_bytes
 };
 
 } // namespace gcc3d

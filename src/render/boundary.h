@@ -209,12 +209,15 @@ class BlockTraversal
      *
      * @p visit   callable (int x, int y, const simd::FloatV &q,
      *            unsigned pass_bits)
+     * @p active  optional per-block flags (row-major, blocksX() wide):
+     *            set to 1 for every block handed at least one lane
+     *            group, the blocks @p visit can have written
      */
     template <typename Visit>
     BoundaryStats
     traverseLanes(const Ellipse &e, float omega,
                   const std::vector<std::uint8_t> *t_mask,
-                  Visit &&visit) const
+                  Visit &&visit, std::uint8_t *active = nullptr) const
     {
         namespace bd = boundary_detail;
         BoundaryStats stats;
@@ -352,8 +355,12 @@ class BlockTraversal
                     }
                 }
                 stats.influence_pixels += passing;
-                if (passing > 0)
+                if (passing > 0) {
                     ++stats.active_blocks;
+                    if (active != nullptr)
+                        active[static_cast<std::size_t>(by) * blocks_x_ +
+                               bx] = 1;
+                }
             }
             // T-masked blocks are excluded from alpha computation
             // (Sec. 4.5) but the walk continues through them: the

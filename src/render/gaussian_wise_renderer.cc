@@ -3,12 +3,16 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <exception>
+#include <memory>
 #include <numeric>
 #include <utility>
 
 #include "gsmath/simd.h"
+#include "obs/metrics_registry.h"
 #include "obs/perf_recorder.h"
 #include "render/lane_blend.h"
+#include "runtime/mutex.h"
 #include "runtime/parallel_for.h"
 #include "runtime/thread_pool.h"
 
@@ -191,10 +195,12 @@ struct GaussianWiseRenderer::SplatCache
 
 /**
  * Reusable per-view working set: the per-pixel planes, T-mask,
- * per-block live counts and the group splat list are assigned (not
- * reallocated) per sub-view, so Cmode frames touching dozens of
- * sub-views stop churning the allocator.  One instance lives per
- * worker thread.
+ * per-block live and touched flags and the group splat list are
+ * assigned (not reallocated) per sub-view, so Cmode frames touching
+ * dozens of sub-views stop churning the allocator.  The planes stay
+ * clean between views (renderView drains every block a lane group
+ * reached), so a view pays only for the blocks it touches.  Scratches
+ * are leased from ScratchPool for one (sub-)view at a time.
  */
 struct GaussianWiseRenderer::ViewScratch
 {
@@ -205,19 +211,154 @@ struct GaussianWiseRenderer::ViewScratch
         std::uint32_t pos;  ///< candidate position (flag slot)
     };
 
-    BlendPlanes planes;  ///< the view's color/T, stride view_w
+    BlendPlanes planes;  ///< the view's color/T, stride view_w; clean
     std::vector<std::uint8_t> t_mask;
+    std::vector<std::uint8_t> touched;  ///< per block: a lane group reached it
     std::vector<int> block_live;
     std::vector<std::uint32_t> positions;
     std::vector<float> depths;
     std::vector<GroupSplat> gsplats;
+
+    /** Bytes held allocated. */
+    std::size_t
+    bytes() const
+    {
+        return planes.bytes() + t_mask.capacity() + touched.capacity() +
+               block_live.capacity() * sizeof(int) +
+               positions.capacity() * sizeof(std::uint32_t) +
+               depths.capacity() * sizeof(float) +
+               gsplats.capacity() * sizeof(GroupSplat);
+    }
 };
 
-GaussianWiseRenderer::ViewScratch &
-GaussianWiseRenderer::localScratch()
+/**
+ * Process-wide free list of view scratches.  Renders lease one per
+ * (sub-)view and return it, so no thread keeps a scratch (its planes
+ * alone are 16 B/px) once its render returns.  The pool keeps as many
+ * scratches as were ever leased at once: a steady load of N
+ * concurrent renders allocates none after its first N leases, and
+ * what the pool retains never exceeds the scratch footprint the
+ * process already reached at its peak concurrency.  A scratch whose
+ * view exited by an exception may hold undrained planes and is freed
+ * instead.  The retained bytes feed the render.gw.scratch_bytes
+ * gauge.
+ */
+class GaussianWiseRenderer::ScratchPool
 {
-    thread_local ViewScratch scratch;
-    return scratch;
+  public:
+    static ScratchPool &
+    global()
+    {
+        static ScratchPool pool;
+        return pool;
+    }
+
+    std::unique_ptr<ViewScratch>
+    acquire()
+    {
+        {
+            MutexLock lock(mu_);
+            // Room for every scratch in existence (at most peak_), so
+            // release() never allocates.
+            const std::size_t peak = std::max(peak_, leased_ + 1);
+            idle_.reserve(peak);
+            peak_ = peak;
+            ++leased_;
+            if (!idle_.empty()) {
+                std::unique_ptr<ViewScratch> s = std::move(idle_.back());
+                idle_.pop_back();
+                idle_bytes_ -= s->bytes();
+                return s;
+            }
+        }
+        try {
+            return std::make_unique<ViewScratch>();
+        } catch (...) {
+            MutexLock lock(mu_);
+            --leased_;
+            throw;
+        }
+    }
+
+    /** Return a leased scratch; @p clean false frees it instead. */
+    void
+    release(std::unique_ptr<ViewScratch> s, bool clean)
+    {
+        static obs::Gauge &retained = obs::MetricsRegistry::global().gauge(
+            "render.gw.scratch_bytes");
+        std::size_t bytes;
+        {
+            MutexLock lock(mu_);
+            --leased_;
+            if (clean) {
+                idle_bytes_ += s->bytes();
+                idle_.push_back(std::move(s));
+            }
+            bytes = idle_bytes_;
+        }
+        s.reset();  // a dirty scratch is freed outside the lock
+        retained.set(static_cast<double>(bytes));
+    }
+
+    std::size_t
+    retainedBytes()
+    {
+        MutexLock lock(mu_);
+        return idle_bytes_;
+    }
+
+    std::size_t
+    peakLeases()
+    {
+        MutexLock lock(mu_);
+        return peak_;
+    }
+
+  private:
+    Mutex mu_;
+    std::vector<std::unique_ptr<ViewScratch>> idle_ GUARDED_BY(mu_);
+    std::size_t idle_bytes_ GUARDED_BY(mu_) = 0;
+    std::size_t leased_ GUARDED_BY(mu_) = 0;
+    std::size_t peak_ GUARDED_BY(mu_) = 0;  ///< most leases at once
+};
+
+/**
+ * A scratch leased from the pool for one (sub-)view.  It goes back to
+ * the pool only if the lease ends without an exception in flight.
+ */
+class GaussianWiseRenderer::ScratchLease
+{
+  public:
+    ScratchLease()
+        : scratch_(ScratchPool::global().acquire()),
+          exceptions_(std::uncaught_exceptions())
+    {
+    }
+    ~ScratchLease()
+    {
+        ScratchPool::global().release(
+            std::move(scratch_), std::uncaught_exceptions() == exceptions_);
+    }
+    ScratchLease(const ScratchLease &) = delete;
+    ScratchLease &operator=(const ScratchLease &) = delete;
+
+    ViewScratch &operator*() const { return *scratch_; }
+
+  private:
+    std::unique_ptr<ViewScratch> scratch_;
+    int exceptions_;
+};
+
+std::size_t
+GaussianWiseRenderer::retainedScratchBytes()
+{
+    return ScratchPool::global().retainedBytes();
+}
+
+std::size_t
+GaussianWiseRenderer::peakScratchLeases()
+{
+    return ScratchPool::global().peakLeases();
 }
 
 void
@@ -244,8 +385,9 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
     const int bx_n = traversal.blocksX();
     const int by_n = traversal.blocksY();
     BlendPlanes &planes = scratch.planes;
-    planes.reset(static_cast<std::size_t>(view_w) * view_h);
+    planes.growClean(static_cast<std::size_t>(view_w) * view_h);
     scratch.t_mask.assign(static_cast<std::size_t>(bx_n) * by_n, 0);
+    scratch.touched.assign(scratch.t_mask.size(), 0);
     scratch.block_live.assign(scratch.t_mask.size(), 0);
     for (int by = 0; by < by_n; ++by) {
         for (int bx = 0; bx < bx_n; ++bx) {
@@ -259,6 +401,7 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
     }
     int *block_live = scratch.block_live.data();
     std::uint8_t *t_mask = scratch.t_mask.data();
+    std::uint8_t *touched = scratch.touched.data();
     // Hoisted out of the lane visitor: float plane stores could alias
     // float members under type-based aliasing, forcing reloads.
     const int block_size = config_.block_size;
@@ -409,8 +552,12 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
                         t_mask[bi] = 1;
                 }
             };
+            // Every block a lane group of this splat reached is marked
+            // touched; one nothing blended drains clean planes onto
+            // zero pixels.
             const BoundaryStats bs = traversal.traverseLanes(
-                local, gs.splat.opacity, &scratch.t_mask, blend_lanes);
+                local, gs.splat.opacity, &scratch.t_mask, blend_lanes,
+                touched);
             stats.alpha_evals += bs.alpha_evals;
             stats.visited_blocks += bs.visited_blocks;
             stats.influence_pixels += bs.influence_pixels;
@@ -430,8 +577,26 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
     }
 
     // The view's region is zero on entry (a fresh frame; Cmode
-    // sub-views are disjoint), so the planes are the blended pixels.
-    planes.writeBack(image, view_x0, view_y0, view_w, view_h, view_w);
+    // sub-views are disjoint), so the planes are the blended pixels,
+    // and a block nothing blended is already right in the image.
+    // Draining the touched blocks, a run of adjacent ones per call,
+    // leaves the planes clean again.
+    for (int by = 0; by < by_n; ++by) {
+        const std::uint8_t *row = touched + static_cast<std::size_t>(by) * bx_n;
+        for (int bx = 0; bx < bx_n;) {
+            if (!row[bx]) {
+                ++bx;
+                continue;
+            }
+            const int run = bx;
+            while (bx < bx_n && row[bx])
+                ++bx;
+            const int x = run * block_size, y = by * block_size;
+            planes.drain(image, view_x0, view_y0, x, y,
+                         std::min(bx * block_size, view_w) - x,
+                         std::min(block_size, view_h - y), view_w);
+        }
+    }
 }
 
 void
@@ -690,7 +855,7 @@ GaussianWiseRenderer::render(const GaussianCloud &cloud, const Camera &cam,
         std::vector<std::uint8_t> flags(candidates.size(), 0);
         renderView(cloud, cam, candidates, depths, nullptr, 0, 0,
                    cam.width(), cam.height(), image, stats, flags,
-                   localScratch());
+                   *ScratchLease());
         classifyFlags(flags, stats);
         stage_timer.lap(obs::Stage::Raster, &stats.stage.raster_ms);
         return image;
@@ -790,7 +955,8 @@ GaussianWiseRenderer::render(const GaussianCloud &cloud, const Camera &cam,
 
     auto render_subview = [&](std::size_t v) {
         const auto &bin = bins[v];
-        ViewScratch &scratch = localScratch();
+        const ScratchLease lease;
+        ViewScratch &scratch = *lease;
         scratch.depths.resize(bin.size());
         for (std::size_t i = 0; i < bin.size(); ++i)
             scratch.depths[i] =

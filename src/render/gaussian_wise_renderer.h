@@ -179,12 +179,22 @@ class GaussianWiseRenderer
     Image renderReference(const GaussianCloud &cloud, const Camera &cam,
                           GaussianWiseStats &stats) const;
 
+    /**
+     * Bytes held by the view scratches cached between renders.  A
+     * thread keeps none once its render returns; the cache holds at
+     * most peakScratchLeases() scratches, each no larger than the
+     * largest view it served.
+     */
+    static std::size_t retainedScratchBytes();
+
+    /** Most view scratches the process's renders have leased at once. */
+    static std::size_t peakScratchLeases();
+
   private:
     struct ViewScratch;
     struct SplatCache;
-
-    /** Per-thread view scratch, reused across sub-views and frames. */
-    static ViewScratch &localScratch();
+    class ScratchPool;
+    class ScratchLease;
 
     /**
      * Render one (sub-)view over pivot-culled candidates (optimized

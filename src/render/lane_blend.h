@@ -10,12 +10,16 @@
  * lanes that do not blend keep their bits.  A region's accumulators
  * start at color 0, T 1; when the image region they are written back
  * to is zero on entry, the written sums are bit-identical to blending
- * into the image in place.
+ * into the image in place.  A region whose blended pixels are few
+ * (the Gaussian-wise full view) can instead keep the planes clean —
+ * color 0 and T 1 everywhere — and drain only the rects it may have
+ * blended.
  */
 
 #ifndef GCC3D_RENDER_LANE_BLEND_H
 #define GCC3D_RENDER_LANE_BLEND_H
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -66,6 +70,33 @@ class BlendPlanes
         t_.assign(n, 1.0f);
     }
 
+    /**
+     * Cover @p pixels pixels without a reset: storage only grows, and
+     * grown elements start clean (color 0, T 1).  For callers that
+     * drain() every rect they blend, which keeps the whole planes
+     * clean between regions of any size or stride.
+     */
+    void
+    growClean(std::size_t pixels)
+    {
+        const std::size_t n = pixels + simd::kWidth;
+        if (t_.size() >= n)
+            return;
+        r_.resize(n, 0.0f);
+        g_.resize(n, 0.0f);
+        b_.resize(n, 0.0f);
+        t_.resize(n, 1.0f);
+    }
+
+    /** Bytes the four planes hold allocated. */
+    std::size_t
+    bytes() const
+    {
+        return (r_.capacity() + g_.capacity() + b_.capacity() +
+                t_.capacity()) *
+               sizeof(float);
+    }
+
     /** Transmittance of the lane group at plane offset @p off. */
     simd::FloatV
     t(std::size_t off) const
@@ -105,6 +136,28 @@ class BlendPlanes
             Vec3 *out = &image.at(x0, y0 + y);
             for (int x = 0; x < w; ++x)
                 out[x] = Vec3(r_[row + x], g_[row + x], b_[row + x]);
+        }
+    }
+
+    /**
+     * writeBack() of the @p w x @p h rect at (@p x, @p y) of a region
+     * of row stride @p stride to @p image at (@p image_x0 + x,
+     * @p image_y0 + y), then restore the rect to color 0, T 1.
+     */
+    void
+    drain(Image &image, int image_x0, int image_y0, int x, int y, int w,
+          int h, int stride)
+    {
+        for (int row = y; row < y + h; ++row) {
+            const std::size_t off =
+                static_cast<std::size_t>(row) * stride + x;
+            Vec3 *out = &image.at(image_x0 + x, image_y0 + row);
+            for (int i = 0; i < w; ++i)
+                out[i] = Vec3(r_[off + i], g_[off + i], b_[off + i]);
+            std::fill_n(r_.data() + off, w, 0.0f);
+            std::fill_n(g_.data() + off, w, 0.0f);
+            std::fill_n(b_.data() + off, w, 0.0f);
+            std::fill_n(t_.data() + off, w, 1.0f);
         }
     }
 

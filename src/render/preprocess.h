@@ -95,7 +95,9 @@ void viewDepthsZ(const GaussianCloud &cloud, const Camera &cam,
 /**
  * Standard-dataflow preprocessing: project every Gaussian in the
  * cloud and evaluate SH for every survivor (the "preprocess-then-
- * render" first stage).
+ * render" first stage).  The scalar reference renderers use it, and
+ * it is the oracle of the tile renderer's fused lane-group prepare,
+ * SplatSoA::project.
  *
  * When @p pool is non-null the cloud is preprocessed in contiguous
  * chunks fanned out over the pool, then merged in chunk order; the

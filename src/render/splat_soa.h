@@ -3,9 +3,8 @@
  * Structure-of-arrays splat store and shared tile-coverage helpers
  * for the standard (tile-wise) dataflow.
  *
- * The preprocess stage produces an array of ~100-byte Splat structs.
- * The render hot loops only need a few fields each, in three distinct
- * phases with different access patterns:
+ * The render hot loops only need a few fields of a projected splat
+ * each, in three distinct phases with different access patterns:
  *
  *  - binning reads tile ranges (and OBB parameters in Obb3Sigma mode),
  *  - sorting reads a 4-byte monotone depth key,
@@ -15,9 +14,16 @@
  * SplatSoA packs each phase's fields contiguously so the inner loops
  * stream cache lines instead of striding through Splat structs; the
  * conic coefficients are hoisted out of Ellipse::alphaAt into four
- * flat floats per splat.  All values are bit-copies of what the
- * scalar path computes, so consuming them reproduces the reference
- * renderer's images and statistics exactly.
+ * flat floats per splat.
+ *
+ * Two builders fill it.  SplatSoA::project is the tile renderer's
+ * prepare stage: one fused pass that projects kWidth Gaussians per
+ * SIMD lane group straight into the store, each lane transcribing
+ * projectGaussian, the SH color and the bound derivation op for op.
+ * SplatSoA::build packs an already preprocessed splat list (the
+ * preprocessAll path) and is the oracle project is tested against:
+ * both yield bit-identical stores, so consuming either reproduces the
+ * reference renderer's images and statistics exactly.
  *
  * The tile-coverage helpers (tileRangeFor / obbOverlapsTile) are the
  * single source of truth for which tiles a splat binds to; the
@@ -33,6 +39,8 @@
 
 #include "gsmath/sort_keys.h"
 #include "render/preprocess.h"
+#include "scene/camera.h"
+#include "scene/gaussian_cloud.h"
 
 namespace gcc3d {
 
@@ -84,8 +92,8 @@ bool obbOverlapsTile(const ObbParams &o, float tx0, float ty0, float tx1,
                      float ty1);
 
 /**
- * Hot-path splat data in structure-of-arrays form.  Built once per
- * frame from the preprocessed splat list.
+ * Hot-path splat data in structure-of-arrays form, one row per
+ * projected splat in source order.  Built once per frame.
  */
 struct SplatSoA
 {
@@ -119,6 +127,8 @@ struct SplatSoA
     std::vector<std::uint32_t> depth_key; ///< monotone float->uint keys
     std::vector<TileRange> range;        ///< binning tile ranges
     std::vector<ObbParams> obb;          ///< filled in Obb3Sigma mode
+    std::vector<std::uint32_t> id;       ///< source Gaussian index
+    std::vector<float> depth;            ///< view-space depth z'
     bool obb_refine = false;             ///< Obb3Sigma per-tile test on
 
     /**
@@ -129,6 +139,19 @@ struct SplatSoA
     static SplatSoA build(const std::vector<Splat> &splats,
                           BoundingMode mode, int tile_size,
                           float alpha_cutoff, int width, int height);
+
+    /**
+     * Project every Gaussian of @p view for @p cam straight into the
+     * store: bit-identical to build() over preprocessAll(@p view's
+     * Gaussians as one cloud), rows and @p stats included, without
+     * materializing the splat list.  Gaussian i of the view gets id i.
+     * A pool fans contiguous index ranges out and merges them in
+     * order, with the same result as the serial pass.
+     */
+    static SplatSoA project(const CloudView &view, const Camera &cam,
+                            BoundingMode mode, int tile_size,
+                            float alpha_cutoff, PreprocessStats &stats,
+                            ThreadPool *pool = nullptr);
 };
 
 } // namespace gcc3d

@@ -143,7 +143,6 @@ class TemporalCache
         exact_valid_ = false;
         counters_ = TemporalCounters{};
         soa_ = SplatSoA{};
-        ids_.clear();
         cov_offsets_.clear();
         cov_tiles_.clear();
         tile_entries_.clear();
@@ -171,8 +170,7 @@ class TemporalCache
     Camera camera_;            ///< camera of the cached exact state
 
     // ---- Tier 1: persisted binning state (previous exact frame). ----
-    SplatSoA soa_;                            ///< previous SoA store
-    std::vector<std::uint32_t> ids_;          ///< per-si source splat ids
+    SplatSoA soa_;                            ///< previous SoA store (ids too)
     std::vector<std::uint32_t> cov_offsets_;  ///< per-splat coverage CSR
     std::vector<std::uint32_t> cov_tiles_;    ///< emitted tiles, ascending
     /** Per-tile packed (key, si) lists, ascending uint64 == cold order. */

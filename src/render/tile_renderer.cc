@@ -311,16 +311,22 @@ struct TileGrid
     std::size_t num_tiles;
 };
 
-/** Stage prepare: preprocess every Gaussian (decoupled) into
- *  @p splats and pack them into the SoA store. */
+/** Stage prepare: project every Gaussian of the view (decoupled)
+ *  straight into the SoA store, one lane group at a time. */
 SplatSoA
-prepare(const TileRendererConfig &config, const GaussianCloud &cloud,
+prepare(const TileRendererConfig &config, const CloudView &view,
         const Camera &cam, const TileGrid &grid, StandardFlowStats &stats,
-        ThreadPool *pool, std::vector<Splat> &splats)
+        ThreadPool *pool)
 {
-    splats = preprocessAll(cloud, cam, stats.pre, pool);
-    return SplatSoA::build(splats, config.bounding, grid.tile,
-                           config.alpha_cutoff, grid.width, grid.height);
+    static obs::Counter &scanned = obs::MetricsRegistry::global().counter(
+        "render.tile.prepare.scanned");
+    static obs::Counter &projected = obs::MetricsRegistry::global().counter(
+        "render.tile.prepare.projected");
+    SplatSoA soa = SplatSoA::project(view, cam, config.bounding, grid.tile,
+                                     config.alpha_cutoff, stats.pre, pool);
+    scanned.add(static_cast<std::int64_t>(view.size()));
+    projected.add(static_cast<std::int64_t>(soa.size()));
+    return soa;
 }
 
 /** Per-splat tile coverage: splat si binds to the tiles
@@ -630,14 +636,12 @@ TileRenderer::tilesPerSplat(const std::vector<Splat> &splats,
 }
 
 Image
-TileRenderer::render(const GaussianCloud &cloud, const Camera &cam,
+TileRenderer::render(const CloudView &view, const Camera &cam,
                      StandardFlowStats &stats, ThreadPool *pool) const
 {
     const TileGrid grid(cam, config_.tile_size);
     obs::StageTimer stage_timer;
-    std::vector<Splat> splats;
-    const SplatSoA soa =
-        prepare(config_, cloud, cam, grid, stats, pool, splats);
+    const SplatSoA soa = prepare(config_, view, cam, grid, stats, pool);
     stage_timer.lap(obs::Stage::Preprocess, &stats.stage.preprocess_ms);
 
     TileBins bins = bin(soa, cover(soa, grid), grid.num_tiles);
@@ -653,7 +657,7 @@ TileRenderer::render(const GaussianCloud &cloud, const Camera &cam,
 }
 
 Image
-TileRenderer::renderTemporal(const GaussianCloud &cloud,
+TileRenderer::renderTemporal(const CloudView &view,
                              const Camera &cam,
                              StandardFlowStats &stats,
                              TemporalCache &cache,
@@ -675,7 +679,7 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
          cache.termination_t_ != config_.termination_t ||
          cache.alpha_cutoff_ != config_.alpha_cutoff ||
          cache.fast_alpha_ != config_.fast_alpha ||
-         cache.cloud_size_ != cloud.size())) {
+         cache.cloud_size_ != view.size())) {
         cache.valid_ = false;
         cache.exact_valid_ = false;
         cache.warp_cached_ = false;
@@ -732,15 +736,8 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
     // render(); the coverage CSR is kept per splat so next frame can
     // diff row by row. ----
     obs::StageTimer stage_timer;
-    std::vector<Splat> splats;
-    SplatSoA soa = prepare(config_, cloud, cam, grid, stats, pool, splats);
+    SplatSoA soa = prepare(config_, view, cam, grid, stats, pool);
     const std::size_t n = soa.size();
-    std::vector<std::uint32_t> ids(n);
-    std::vector<float> depths(n);
-    for (std::size_t si = 0; si < n; ++si) {
-        ids[si] = splats[si].id;
-        depths[si] = splats[si].depth;
-    }
     stage_timer.lap(obs::Stage::Preprocess, &stats.stage.preprocess_ms);
 
     Coverage cov = cover(soa, grid);
@@ -758,7 +755,7 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
     // splat population (same source Gaussians surviving culling, in
     // the same SoA slots); any mismatch falls back to a full rebuild
     // inside the temporal path.
-    const bool incremental = cache.valid_ && cache.ids_ == ids &&
+    const bool incremental = cache.valid_ && cache.soa_.id == soa.id &&
                              (!want_depth || cache.depth_valid_);
     TileBins bins;
     std::vector<std::uint32_t> dirty_tiles;
@@ -894,7 +891,7 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
     // incremental frame re-rasterizes only the dirty tiles (clean
     // tiles keep their pixels), so its unique-population counters
     // cover the rastered tiles only. ----
-    const float *splat_depth = want_depth ? depths.data() : nullptr;
+    const float *splat_depth = want_depth ? soa.depth.data() : nullptr;
     float *depth_buf = want_depth ? cache.depth_.data() : nullptr;
     if (!incremental) {
         raster(config_, soa, grid, allTiles(grid),
@@ -933,10 +930,9 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
     cache.termination_t_ = config_.termination_t;
     cache.alpha_cutoff_ = config_.alpha_cutoff;
     cache.fast_alpha_ = config_.fast_alpha;
-    cache.cloud_size_ = cloud.size();
+    cache.cloud_size_ = view.size();
     cache.camera_ = cam;
     cache.soa_ = std::move(soa);
-    cache.ids_ = std::move(ids);
     cache.cov_offsets_ = std::move(cov.offsets);
     cache.cov_tiles_ = std::move(cov.tiles);
     cache.depth_valid_ = want_depth;

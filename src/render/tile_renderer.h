@@ -14,20 +14,26 @@
  * preprocessed counts (Fig. 2a), KV pair counts and per-pixel alpha
  * evaluation counts (Table 1, Fig. 11).
  *
- * The fast path is four stages: prepare (preprocess + SoA splat
- * store), cover (each splat's tile coverage, walked once), bin
- * (counting scatter into one flat per-tile key-value array) and
- * raster (per-tile LSD radix depth sort of fresh lists, per-splat
- * pixel iteration bounded by the cutoff-safe footprint rect — skipped
- * pixels are accounted analytically, so the reported hardware stats
- * do not change — blended one SIMD lane group at a time into
- * per-tile planar accumulators, and one chunk-ordered merge).  render() runs all
- * four over every tile; renderTemporal() runs the same four on a full
+ * The fast path is four stages: prepare (one fused pass that projects
+ * simd::kWidth Gaussians per lane group straight into the SoA splat
+ * store — projection, SH color, tile range, OBB and iteration bounds,
+ * with no intermediate splat list), cover (each splat's tile
+ * coverage, walked once), bin (counting scatter into one flat
+ * per-tile key-value array) and raster (per-tile LSD radix depth sort
+ * of fresh lists, per-splat pixel iteration bounded by the
+ * cutoff-safe footprint rect — skipped pixels are accounted
+ * analytically, so the reported hardware stats do not change —
+ * blended one SIMD lane group at a time into per-tile planar
+ * accumulators, and one chunk-ordered merge).  render() runs all four
+ * over every tile; renderTemporal() runs the same four on a full
  * rebuild, and prepare, cover and raster of the dirty tiles on an
- * incremental frame; tilesPerSplat() runs prepare's SoA build and
- * cover.  renderReference() is the direct scalar transcription they
- * are validated against — nested per-tile vectors, comparator
- * stable_sort, full-tile pixel sweeps.
+ * incremental frame; tilesPerSplat() packs a given splat list with
+ * SplatSoA::build and runs cover.  Both fast paths read the frame's
+ * Gaussians through a CloudView, so a LOD cut renders from its
+ * resident chunks without being copied; a GaussianCloud converts to
+ * a one-span view.  renderReference() is the direct scalar
+ * transcription they are validated against — preprocessAll, nested
+ * per-tile vectors, comparator stable_sort, full-tile pixel sweeps.
  *
  * Both produce bit-identical images and identical StandardFlowStats;
  * tests/test_renderer_equivalence.cc locks that in across bounding
@@ -93,7 +99,7 @@ struct TileRendererConfig
  * only reads config_ and its const arguments, so one renderer (or
  * one per thread) may render concurrently, including from a shared
  * const GaussianCloud.  A ThreadPool passed to render() or
- * renderTemporal() fans out the preprocess and raster stages and may
+ * renderTemporal() fans out the prepare and raster stages and may
  * be shared between renderers.
  */
 class TileRenderer
@@ -107,10 +113,14 @@ class TileRenderer
     /**
      * Render a frame (optimized path).
      *
-     * @param cloud  the scene
+     * @param view   the scene's Gaussians, indexed in view order (a
+     *               GaussianCloud converts to a one-span view; a LOD
+     *               cut's view spans its resident chunks), rendered
+     *               bit-identically to their concatenation as one
+     *               cloud
      * @param cam    viewpoint
      * @param stats  populated with dataflow counters
-     * @param pool   optional worker pool: fans out the preprocess
+     * @param pool   optional worker pool: fans out the prepare
      *               stage and the per-tile rasterization loop (tiles
      *               cover disjoint pixels and disjoint slices of the
      *               binned splat lists; per-chunk counters and
@@ -118,7 +128,7 @@ class TileRenderer
      *               renders serially; the image and stats are
      *               bit-identical either way.
      */
-    Image render(const GaussianCloud &cloud, const Camera &cam,
+    Image render(const CloudView &view, const Camera &cam,
                  StandardFlowStats &stats,
                  ThreadPool *pool = nullptr) const;
 
@@ -145,7 +155,7 @@ class TileRenderer
      * frames and tiles to the path that produced them.
      *
      * Frames of one cache must be rendered sequentially (external
-     * happens-before); @p pool only fans out the preprocess stage
+     * happens-before); @p pool only fans out the prepare stage
      * and dirty-tile rasterization, never frame-level state.
      *
      * @p force_warp asks for a synthesized frame regardless of the
@@ -156,7 +166,7 @@ class TileRenderer
      * instead — callers detect which path served the frame via
      * cache.counters().warped_frames.
      */
-    Image renderTemporal(const GaussianCloud &cloud, const Camera &cam,
+    Image renderTemporal(const CloudView &view, const Camera &cam,
                          StandardFlowStats &stats, TemporalCache &cache,
                          ThreadPool *pool = nullptr,
                          bool force_warp = false) const;

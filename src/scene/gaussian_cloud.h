@@ -6,7 +6,9 @@
 #ifndef GCC3D_SCENE_GAUSSIAN_CLOUD_H
 #define GCC3D_SCENE_GAUSSIAN_CLOUD_H
 
+#include <algorithm>
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,6 +85,75 @@ class GaussianCloud
   private:
     std::string name_;
     std::vector<Gaussian> gaussians_;
+};
+
+/**
+ * A read-only cloud assembled from borrowed spans of Gaussians:
+ * Gaussian i of the view is the i-th across the spans, in span order.
+ * The tile renderer's fast paths read a frame through it, so a LOD
+ * cut can point into resident chunks instead of being copied into a
+ * GaussianCloud.  Whoever owns the spans keeps them alive while the
+ * view is in use.
+ */
+class CloudView
+{
+  public:
+    CloudView() = default;
+
+    /** One span over all of @p cloud (implicit, so a cloud can be
+     *  passed wherever a view is read). */
+    CloudView(const GaussianCloud &cloud)
+    {
+        append(cloud.gaussians());
+    }
+
+    /** Add @p span after the current last Gaussian (empty: no-op). */
+    void
+    append(std::span<const Gaussian> span)
+    {
+        if (span.empty())
+            return;
+        spans_.push_back(span);
+        size_ += span.size();
+    }
+
+    std::size_t size() const { return size_; }
+
+    /**
+     * Call @p fn(index, gaussian) for the Gaussians [@p begin, @p end)
+     * of the view, in order.
+     */
+    template <typename Fn>
+    void
+    forRange(std::size_t begin, std::size_t end, Fn &&fn) const
+    {
+        std::size_t base = 0;
+        for (const std::span<const Gaussian> &span : spans_) {
+            const std::size_t lo = std::max(begin, base);
+            const std::size_t hi = std::min(end, base + span.size());
+            for (std::size_t i = lo; i < hi; ++i)
+                fn(i, span[i - base]);
+            base += span.size();
+            if (base >= end)
+                return;
+        }
+    }
+
+    /** Concatenate the spans into an owning cloud named @p name. */
+    GaussianCloud
+    copy(std::string name) const
+    {
+        GaussianCloud cloud(std::move(name));
+        cloud.reserve(size_);
+        for (const std::span<const Gaussian> &span : spans_)
+            cloud.gaussians().insert(cloud.gaussians().end(), span.begin(),
+                                     span.end());
+        return cloud;
+    }
+
+  private:
+    std::vector<std::span<const Gaussian>> spans_;
+    std::size_t size_ = 0;
 };
 
 } // namespace gcc3d

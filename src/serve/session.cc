@@ -119,24 +119,33 @@ Session::renderCut(const LodCutParams &cut_params, const Camera &render_cam,
                    FrameStageCost *cost) const
 {
     // LOD sessions render the camera's cut, culled against the
-    // frustum that renders; resident-cloud sessions render the shared
-    // cloud.  Both are pure in (scene, camera).
-    GaussianCloud cut;
+    // frustum that renders: tile frames read its resident spans in
+    // place (the cut's pins keep them alive until this frame returns),
+    // Gaussian-wise frames a copy.  Resident-cloud sessions render the
+    // shared cloud.  All are pure in (scene, camera).
+    const bool tile = config_.renderer == SessionRenderer::Tile;
+    LodCut cut;
+    GaussianCloud copied;
     const GaussianCloud *cloud = scene_.cloud.get();
     double decode_ms = 0.0;
     if (scene_.lod) {
         obs::PerfScope decode_scope(obs::Stage::Decode, &decode_ms);
-        cut = scene_.lod->buildCut(render_cam, cut_params);
-        cloud = &cut;
+        if (tile) {
+            cut = scene_.lod->cut(render_cam, cut_params);
+        } else {
+            copied = scene_.lod->buildCut(render_cam, cut_params);
+            cloud = &copied;
+        }
     }
+    const CloudView view = scene_.lod && tile ? cut.view : CloudView(*cloud);
     Image image;
     StageTimes stage;
-    if (config_.renderer == SessionRenderer::Tile) {
+    if (tile) {
         StandardFlowStats stats;
-        image = temporal ? tile_.renderTemporal(*cloud, render_cam, stats,
+        image = temporal ? tile_.renderTemporal(view, render_cam, stats,
                                                 *temporal_, nullptr,
                                                 force_warp)
-                         : tile_.render(*cloud, render_cam, stats);
+                         : tile_.render(view, render_cam, stats);
         stage = stats.stage;
     } else {
         GaussianWiseStats stats;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "render/gaussian_wise_renderer.h"
 #include "render/metrics.h"
 #include "render/tile_renderer.h"
@@ -227,6 +230,35 @@ TEST(GaussianWiseRenderer, EmptyScene)
 // Degenerate configuration: a group capacity of zero used to wedge
 // the grouping loop forever (start += 0).
 // ---------------------------------------------------------------------
+
+TEST(GaussianWiseRenderer, ThreadsRetainNoScratchAfterRendering)
+{
+    // Full-view planes are 16 B/px.  Renders on six short-lived
+    // threads, full view and Cmode, leave no scratch with a thread:
+    // the process-wide cache holds at most as many scratches as were
+    // ever leased at once, each no larger than one view's worth.
+    const GaussianCloud cloud =
+        generateScene(test::tinySpec(61, 2000), 1.0f);
+    const Camera cam = test::frontCamera(320, 240);
+    GaussianWiseConfig cmode;
+    cmode.subview_size = 64;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 6; ++t)
+        threads.emplace_back([&, t] {
+            GaussianWiseStats stats;
+            GaussianWiseRenderer(t % 2 ? cmode : GaussianWiseConfig{})
+                .render(cloud, cam, stats);
+        });
+    for (std::thread &t : threads)
+        t.join();
+    const std::size_t per_view =
+        16 * (static_cast<std::size_t>(cam.width()) * cam.height() + 64) +
+        64 * cloud.size() + (std::size_t{1} << 16);
+    const std::size_t peak = GaussianWiseRenderer::peakScratchLeases();
+    EXPECT_GE(peak, 1u);
+    EXPECT_GT(GaussianWiseRenderer::retainedScratchBytes(), 0u);
+    EXPECT_LE(GaussianWiseRenderer::retainedScratchBytes(), peak * per_view);
+}
 
 TEST(GroupByDepth, DegenerateCapacityDoesNotHang)
 {

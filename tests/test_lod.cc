@@ -315,6 +315,106 @@ TEST(LodScene, RepeatedCutLargerThanBudgetKeepsItsCachedLeaves)
     std::filesystem::remove(path);
 }
 
+TEST(LodScene, SpanCutRendersLikeTheCopiedCut)
+{
+    // The tile renderer reads a cut's resident spans in place; the
+    // copied cut is the same Gaussians in the same order, so images,
+    // stats and temporal counters agree bit for bit.  The budget holds
+    // a few chunks, so pinned leaves get evicted mid-frame; the pins
+    // never count against the budget, and dropping them leaves the
+    // resident bytes where the cut left them.
+    GaussianCloud cloud = generateScene(test::tinySpec(38, 3000), 1.0f);
+    const std::string path = tempLodPath("span-cut");
+    LodBuildConfig cfg;
+    cfg.chunk_target = 128;
+    ASSERT_TRUE(buildLodFile(cloud, path, cfg));
+
+    const std::size_t budget = 4 * 128 * Gaussian::kTotalBytes;
+    LodScene span_lod(path, budget), copy_lod(path, budget);
+    LodCutParams params;
+    params.tau = 0.3f;
+    const TileRenderer tile{TileRendererConfig{}};
+    TemporalCache span_cache, copy_cache;
+    obs::Counter &copied_bytes =
+        obs::MetricsRegistry::global().counter("lod.cut.copied_bytes");
+    obs::Counter &scanned = obs::MetricsRegistry::global().counter(
+        "render.tile.prepare.scanned");
+    obs::Counter &projected = obs::MetricsRegistry::global().counter(
+        "render.tile.prepare.projected");
+    for (int f = 0; f < 4; ++f) {
+        SCOPED_TRACE(::testing::Message() << "frame " << f);
+        Camera cam = test::frontCamera();
+        cam.lookAt(Vec3(0.4f * f, 0.5f, -4.0f + 0.5f * f), Vec3(0, 0, 0));
+
+        const std::int64_t copied_before = copied_bytes.value();
+        LodCutStats span_stats, copy_stats;
+        std::size_t resident_with_pins = 0;
+        Image span_image, span_warm, copy_image, copy_warm;
+        StandardFlowStats span_flow, copy_flow, span_temporal, copy_temporal;
+        {
+            const LodCut cut = span_lod.cut(cam, params, &span_stats);
+            EXPECT_EQ(copied_bytes.value(), copied_before);  // no copy
+            resident_with_pins = span_lod.residencyStats().resident_bytes;
+            const std::int64_t scanned_before = scanned.value();
+            const std::int64_t projected_before = projected.value();
+            span_image = tile.render(cut.view, cam, span_flow);
+            span_warm = tile.renderTemporal(cut.view, cam, span_temporal,
+                                            span_cache);
+            // Flushed once per frame: the view's size and the rows.
+            EXPECT_EQ(scanned.value() - scanned_before,
+                      GCC3D_OBS_ENABLED
+                          ? static_cast<std::int64_t>(2 * cut.view.size())
+                          : 0);
+            EXPECT_EQ(projected.value() - projected_before,
+                      GCC3D_OBS_ENABLED
+                          ? static_cast<std::int64_t>(
+                                span_flow.pre.projected +
+                                span_temporal.pre.projected)
+                          : 0);
+        }
+        EXPECT_EQ(span_lod.residencyStats().resident_bytes,
+                  resident_with_pins);
+        EXPECT_LE(span_lod.residencyStats().peak_resident_bytes, budget);
+
+        const GaussianCloud copied = copy_lod.buildCut(cam, params, &copy_stats);
+        EXPECT_EQ(copied_bytes.value() - copied_before,
+                  GCC3D_OBS_ENABLED
+                      ? static_cast<std::int64_t>(copied.size() *
+                                                  sizeof(Gaussian))
+                      : 0);
+        EXPECT_EQ(copy_lod.residencyStats().resident_bytes,
+                  resident_with_pins);
+        copy_image = tile.render(copied, cam, copy_flow);
+        copy_warm =
+            tile.renderTemporal(copied, cam, copy_temporal, copy_cache);
+
+        EXPECT_EQ(span_stats.cut_gaussians, copy_stats.cut_gaussians);
+        EXPECT_EQ(span_stats.leaf_gaussians, copy_stats.leaf_gaussians);
+        EXPECT_EQ(span_stats.culled_gaussians, copy_stats.culled_gaussians);
+        EXPECT_TRUE(test::imagesBitIdentical(span_image, copy_image));
+        EXPECT_TRUE(test::imagesBitIdentical(span_warm, copy_warm));
+        EXPECT_TRUE(test::imagesBitIdentical(span_warm, span_image));
+        for (const auto &[a, b] : {std::pair{&span_flow, &copy_flow},
+                                   {&span_temporal, &copy_temporal}}) {
+            EXPECT_EQ(a->pre.total, b->pre.total);
+            EXPECT_EQ(a->pre.projected, b->pre.projected);
+            EXPECT_EQ(a->pre.screen_culled, b->pre.screen_culled);
+            EXPECT_EQ(a->kv_pairs, b->kv_pairs);
+            EXPECT_EQ(a->alpha_evals, b->alpha_evals);
+            EXPECT_EQ(a->blend_ops, b->blend_ops);
+            EXPECT_EQ(a->rendered_gaussians, b->rendered_gaussians);
+            EXPECT_EQ(a->subtile_passes, b->subtile_passes);
+            EXPECT_EQ(a->sort_pass_keys, b->sort_pass_keys);
+        }
+        EXPECT_EQ(span_cache.counters().incremental_frames,
+                  copy_cache.counters().incremental_frames);
+        EXPECT_EQ(span_cache.counters().tiles_rastered,
+                  copy_cache.counters().tiles_rastered);
+    }
+    EXPECT_GT(span_lod.residencyStats().evictions, 0u);
+    std::filesystem::remove(path);
+}
+
 TEST(LodScene, QuantizedCutRendersCloseToSource)
 {
     GaussianCloud cloud = generateScene(test::tinySpec(36, 1500), 1.0f);

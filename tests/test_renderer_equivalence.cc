@@ -2,7 +2,7 @@
  * @file
  * Golden equivalence suite: the optimized TileRenderer::render (SoA
  * splat store, CSR binning, radix depth sort, bounded pixel
- * iteration, optional parallel preprocess) must reproduce the
+ * iteration, optional parallel prepare) must reproduce the
  * retained reference implementation bit-for-bit — identical images
  * and identical StandardFlowStats — across every bounding mode and
  * tile size the simulators use.

@@ -105,6 +105,82 @@ TEST(Simd, ArithmeticLaneExact)
         [](float a, float b) { return a / b; });
 }
 
+TEST(Simd, SqrtAndNegLaneExact)
+{
+    // Unary ops run through the binary harness with b ignored.
+    checkBinaryOp(
+        "sqrt", [](FloatV a, FloatV) { return simd::sqrt(a); },
+        [](float a, float) { return std::sqrt(a); });
+    checkBinaryOp(
+        "neg", [](FloatV a, FloatV) { return simd::neg(a); },
+        [](float a, float) { return -a; });
+}
+
+TEST(Simd, FloatToIntConversionsMatchScalarCasts)
+{
+    // In range, every lane equals the scalar cast of the scalar
+    // rounding; values whose result does not fit an int32 (and NaN)
+    // are left to the backend's conversion and not compared.
+    std::vector<float> vals = specialValues();
+    for (float v : {0.5f, -0.5f, 1.5f, -1.5f, 2.999999f, -2.999999f,
+                    8388607.5f, -8388607.5f, 16777217.0f, 2147483520.0f,
+                    -2147483648.0f, 123.0f, -7.25f})
+        vals.push_back(v);
+    auto fits = [](float r) {
+        return r >= -2147483648.0f && r < 2147483648.0f;
+    };
+    for (std::size_t i = 0; i < vals.size(); i += kWidth) {
+        float lanes[kWidth];
+        for (int l = 0; l < kWidth; ++l)
+            lanes[l] = vals[(i + l) % vals.size()];
+        const FloatV x = FloatV::load(lanes);
+        std::int32_t tr[kWidth], fl[kWidth], ce[kWidth];
+        simd::truncToInt(x).store(tr);
+        simd::floorToInt(x).store(fl);
+        simd::ceilToInt(x).store(ce);
+        for (int l = 0; l < kWidth; ++l) {
+            const float v = lanes[l];
+            if (fits(std::trunc(v))) {
+                EXPECT_EQ(tr[l], static_cast<std::int32_t>(v)) << v;
+            }
+            if (fits(std::floor(v))) {
+                EXPECT_EQ(fl[l], static_cast<std::int32_t>(std::floor(v)))
+                    << v;
+            }
+            if (fits(std::ceil(v))) {
+                EXPECT_EQ(ce[l], static_cast<std::int32_t>(std::ceil(v)))
+                    << v;
+            }
+        }
+    }
+}
+
+TEST(Simd, IntMinMaxAndSubtractLaneExact)
+{
+    const std::int32_t vals[] = {0, 1, -1, 7, -7, INT32_MAX, INT32_MIN,
+                                 123456, -654321, 2};
+    constexpr int n = sizeof(vals) / sizeof(vals[0]);
+    for (int ai = 0; ai < n; ++ai) {
+        std::int32_t a_lanes[kWidth], b_lanes[kWidth];
+        for (int l = 0; l < kWidth; ++l) {
+            a_lanes[l] = vals[ai];
+            b_lanes[l] = vals[(ai + l + 1) % n];
+        }
+        const IntV a = IntV::load(a_lanes), b = IntV::load(b_lanes);
+        std::int32_t mx[kWidth], mn[kWidth], df[kWidth];
+        simd::maxInt(a, b).store(mx);
+        simd::minInt(a, b).store(mn);
+        (a - b).store(df);
+        for (int l = 0; l < kWidth; ++l) {
+            EXPECT_EQ(mx[l], std::max(a_lanes[l], b_lanes[l]));
+            EXPECT_EQ(mn[l], std::min(a_lanes[l], b_lanes[l]));
+            EXPECT_EQ(df[l], static_cast<std::int32_t>(
+                                 static_cast<std::uint32_t>(a_lanes[l]) -
+                                 static_cast<std::uint32_t>(b_lanes[l])));
+        }
+    }
+}
+
 TEST(Simd, MinMaxFollowTheSseRule)
 {
     // min(a,b) = a < b ? a : b; max(a,b) = a > b ? a : b.  The second
