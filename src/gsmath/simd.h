@@ -29,7 +29,8 @@
  *    backends agree bit-for-bit.
  *  - roundToInt rounds half to even (the hardware default mode),
  *    matching `std::nearbyintf` under the default environment.
- *  - simdExp (below) is an approximation with its own contract.
+ *  - expExact is std::exp per lane, not one IEEE operation; see its
+ *    comment for which builds evaluate it as a vector.
  */
 
 #ifndef GCC3D_GSMATH_SIMD_H
@@ -977,85 +978,110 @@ neg(const FloatV &a)
 }
 
 // =====================================================================
-// simdExp: vectorized polynomial exponential.
+// expExact: std::exp(float), lane for lane.
 // =====================================================================
 
-namespace exp_detail {
-inline constexpr float kLog2e = 1.44269504088896341f;
-inline constexpr float kC1 = 0.693359375f;        ///< ln2 high part
-inline constexpr float kC2 = -2.12194440e-4f;     ///< ln2 low part
-inline constexpr float kP0 = 1.9875691500e-4f;
-inline constexpr float kP1 = 1.3981999507e-3f;
-inline constexpr float kP2 = 8.3334519073e-3f;
-inline constexpr float kP3 = 4.1665795894e-2f;
-inline constexpr float kP4 = 1.6666665459e-1f;
-inline constexpr float kP5 = 5.0000001201e-1f;
-/** Clamp bounds keeping 2^n in normal-float range. */
-inline constexpr float kExpLo = -87.3365447504019f;
-inline constexpr float kExpHi = 88.3762626647949f;
-} // namespace exp_detail
+// The 8-lane form transcribes glibc's expf (>= 2.27), as glibc's
+// ifunc runs it on every AVX2+FMA host: the FMA build of
+// sysdeps/ieee754/flt-32/e_expf.c.  It needs the FMA ISA, to fuse
+// where that build fuses, and glibc, whose expf it must equal.
+#if defined(GCC3D_SIMD_AVX2) && defined(__FMA__) && defined(__GLIBC_PREREQ)
+#if __GLIBC_PREREQ(2, 27)
+#define GCC3D_SIMD_EXP_GLIBC_FMA 1
+#endif
+#endif
 
-/**
- * Scalar transcription of simdExp: the identical operation sequence
- * on one lane (the unit tests verify simdExp is lane-for-lane
- * bit-identical to this).
- *
- * Accuracy contract: relative error < 3e-7 against std::exp over
- * [-87.3, 88.3].  Inputs are clamped to that interval first, so the
- * result is always a positive normal float — in particular
- * simdExpScalar(-inf) is ~1.2e-38, NOT 0.  Callers gating on an
- * alpha/cutoff threshold (the renderers' fast-alpha mode) are
- * unaffected: their inputs live in [-6, 0] by construction.
- */
-inline float
-simdExpScalar(float x)
+#if defined(GCC3D_SIMD_EXP_GLIBC_FMA)
+namespace exp_detail {
+/** glibc's __exp2f_data: tab[i] = bits(2^(i/32)) - (i << 47) (as
+ *  long long, the element type of the gather intrinsic). */
+alignas(32) inline constexpr long long kTab[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
+    0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
+    0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429,
+    0x3feea47eb03a5585, 0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187, 0x3feea589994cce13, 0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c,
+    0x3fef3720dcef9069, 0x3fef5818dcfba487, 0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+};
+/** 32 / ln 2, the round-to-int shift 1.5 * 2^52, and the cubic's
+ *  coefficients scaled for r = x * 32 / ln 2 - k. */
+inline constexpr std::uint64_t kInvLn2N = 0x40471547652b82fe;
+inline constexpr std::uint64_t kShift = 0x4338000000000000;
+inline constexpr std::uint64_t kC0 = 0x3ebc6af84b912394;
+inline constexpr std::uint64_t kC1 = 0x3f2ebfce50fac4f3;
+inline constexpr std::uint64_t kC2 = 0x3f962e42ff0c52d6;
+/** Lanes whose (bits >> 20 & 0x7ff) reaches this (|x| >= 88, inf,
+ *  NaN) leave expf's main path. */
+inline constexpr int kSpecialTop = 0x42b;
+
+inline __m256d
+pd(std::uint64_t bits)
 {
-    using namespace exp_detail;
-    // min/max with the SSE rule (second operand wins on NaN).
-    x = x < kExpHi ? x : kExpHi;
-    x = x > kExpLo ? x : kExpLo;
-    float fx = x * kLog2e;
-    float fn = std::nearbyintf(fx);  // ties to even, matches cvtps
-    std::int32_t n = static_cast<std::int32_t>(fn);
-    x = x - fn * kC1;
-    x = x - fn * kC2;
-    float z = x * x;
-    float y = kP0;
-    y = y * x + kP1;
-    y = y * x + kP2;
-    y = y * x + kP3;
-    y = y * x + kP4;
-    y = y * x + kP5;
-    y = y * z + x + 1.0f;
-    float pow2 = std::bit_cast<float>((n + 127) << 23);
-    return y * pow2;
+    return _mm256_set1_pd(std::bit_cast<double>(bits));
 }
 
+/** expf's main path on four lanes: exp(x) = 2^(k/32) * 2^(r/32). */
+inline __m128
+expHalf(__m128 x)
+{
+    const __m256d xd = _mm256_cvtps_pd(x);
+    const __m256d kds = _mm256_fmadd_pd(pd(kInvLn2N), xd, pd(kShift));
+    const __m256i ki = _mm256_castpd_si256(kds);
+    const __m256d kd = _mm256_sub_pd(kds, pd(kShift));
+    const __m256d r = _mm256_fmsub_pd(pd(kInvLn2N), xd, kd);
+    const __m256i t = _mm256_add_epi64(
+        _mm256_i64gather_epi64(
+            kTab, _mm256_and_si256(ki, _mm256_set1_epi64x(31)), 8),
+        _mm256_slli_epi64(ki, 47));
+    const __m256d z = _mm256_fmadd_pd(r, pd(kC0), pd(kC1));
+    const __m256d r2 = _mm256_mul_pd(r, r);
+    const __m256d y = _mm256_fmadd_pd(
+        z, r2, _mm256_fmadd_pd(r, pd(kC2), _mm256_set1_pd(1.0)));
+    return _mm256_cvtpd_ps(_mm256_mul_pd(y, _mm256_castsi256_pd(t)));
+}
+} // namespace exp_detail
+#endif
+
 /**
- * Vectorized exp with the contract documented on simdExpScalar.
- * Bit-identical per lane to simdExpScalar.
+ * std::exp on the lanes set in @p lanes, bit for bit, NaN payloads
+ * included; the other lanes hold unspecified values.  With AVX2, FMA
+ * and glibc it evaluates glibc's expf on all eight lanes at once (two
+ * 4 x double halves) and calls std::exp only for selected lanes off
+ * expf's main path (|x| >= 88, inf, NaN); every other build calls
+ * std::exp once per selected lane.  The vector form is exact only
+ * where the running libm is that expf; tests/test_simd.cc checks it
+ * against the local std::exp over every float.
  */
 inline FloatV
-simdExp(FloatV x)
+expExact(const FloatV &x, unsigned lanes = (1u << kWidth) - 1)
 {
+    float in[kWidth] = {}, out[kWidth] = {};
+#if defined(GCC3D_SIMD_EXP_GLIBC_FMA)
     using namespace exp_detail;
-    x = min(x, FloatV(kExpHi));
-    x = max(x, FloatV(kExpLo));
-    FloatV fx = x * FloatV(kLog2e);
-    IntV n = roundToInt(fx);
-    FloatV fn = toFloat(n);
-    x = x - fn * FloatV(kC1);
-    x = x - fn * FloatV(kC2);
-    FloatV z = x * x;
-    FloatV y(kP0);
-    y = y * x + FloatV(kP1);
-    y = y * x + FloatV(kP2);
-    y = y * x + FloatV(kP3);
-    y = y * x + FloatV(kP4);
-    y = y * x + FloatV(kP5);
-    y = y * z + x + FloatV(1.0f);
-    FloatV pow2 = bitcastToFloat((n + IntV(127)).shiftLeft<23>());
-    return y * pow2;
+    const __m256i top = _mm256_and_si256(
+        _mm256_srli_epi32(_mm256_castps_si256(x.v), 20),
+        _mm256_set1_epi32(0x7ff));
+    lanes &= static_cast<unsigned>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(
+            top, _mm256_set1_epi32(kSpecialTop - 1)))));
+    FloatV r;
+    r.v = _mm256_set_m128(expHalf(_mm256_extractf128_ps(x.v, 1)),
+                          expHalf(_mm256_castps256_ps128(x.v)));
+    if (lanes == 0)
+        return r;
+    r.store(out);
+#endif
+    x.store(in);
+    for (; lanes != 0; lanes &= lanes - 1) {
+        const int i = std::countr_zero(lanes);
+        out[i] = std::exp(in[i]);
+    }
+    return FloatV::load(out);
 }
 
 } // namespace simd

@@ -405,10 +405,15 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
     // Hoisted out of the lane visitor: float plane stores could alias
     // float members under type-based aliasing, forcing reloads.
     const int block_size = config_.block_size;
-    const bool fast_alpha = config_.fast_alpha;
     const simd::FloatV term_v(config_.termination_t), cap_v(0.99f);
-    const simd::FloatV neg_half_v(-0.5f);
     std::int64_t live = static_cast<std::int64_t>(view_w) * view_h;
+    // Exponentials the host evaluated: every lane reaching Stage IV's
+    // exp blends (no cutoff test follows it), so this is the view's
+    // blend count.  Flushed once per view to the metrics registry,
+    // never to the stats the simulators read.
+    static obs::Counter &exp_lanes_counter =
+        obs::MetricsRegistry::global().counter("render.gw.exp_lanes");
+    std::int64_t exp_lanes = 0;
 
     // ---- Stages II-IV, group by group, near to far. ----
     auto &gsplats = scratch.gsplats;
@@ -519,8 +524,8 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
             const simd::FloatV omega_v(gs.splat.opacity);
             const simd::FloatV rv(color.x), gv(color.y), bv(color.z);
             // Stage IV on whole lane groups, each lane the scalar
-            // reference's op sequence at its own pixel; only std::exp
-            // runs per live lane.
+            // reference's op sequence at its own pixel, std::exp
+            // included (simd::expExact via expFalloff).
             auto blend_lanes = [&](int x, int y, const simd::FloatV &q,
                                    unsigned bits) {
                 const std::size_t off =
@@ -530,13 +535,9 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
                 bits &= ~(t < term_v).bits();
                 if (bits == 0)
                     return;
-                // Fast-alpha: vectorized polynomial exp (simdExp).
-                // Exact: scalar std::min(0.99f, a), 0.99 on NaN.
+                // Scalar std::min(0.99f, a): 0.99 on NaN.
                 const simd::FloatV a =
-                    fast_alpha
-                        ? simd::min(cap_v, omega_v * simd::simdExp(
-                                                         q * neg_half_v))
-                        : simd::min(omega_v * expFalloff(q, bits), cap_v);
+                    simd::min(omega_v * expFalloff(q, bits), cap_v);
                 const simd::FloatV t_new =
                     planes.blend(off, bits, t, a, rv, gv, bv);
                 splat_blends += std::popcount(bits);
@@ -562,6 +563,7 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
             stats.visited_blocks += bs.visited_blocks;
             stats.influence_pixels += bs.influence_pixels;
             stats.blend_ops += splat_blends;
+            exp_lanes += splat_blends;
             activity.visited_blocks += bs.visited_blocks;
             activity.active_blocks += bs.active_blocks;
             activity.alpha_evals += bs.alpha_evals;
@@ -575,6 +577,7 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
             terminated = true;
         stats.group_trace.push_back(activity);
     }
+    exp_lanes_counter.add(exp_lanes);
 
     // The view's region is zero on entry (a fresh frame; Cmode
     // sub-views are disjoint), so the planes are the blended pixels,

@@ -27,8 +27,9 @@
  *    both the Cmode spatial binning and Stage II (each Gaussian is
  *    projected once per frame instead of once for binning plus once
  *    per overlapping sub-view), a statically-dispatched block
- *    traversal whose visitor blends whole SIMD lane groups into
- *    planar per-view accumulators, reused per-view scratch
+ *    traversal whose visitor blends whole SIMD lane groups,
+ *    exponential included, into planar per-view accumulators (see
+ *    render/lane_blend.h), reused per-view scratch
  *    buffers, and — because Cmode sub-views are disjoint pixel
  *    regions — optional multi-threaded sub-view rendering over a
  *    ThreadPool with a deterministic, sub-view-ordered stat merge;
@@ -80,17 +81,6 @@ struct GaussianWiseConfig
      * view at once (no Cmode).
      */
     int subview_size = 0;
-
-    /**
-     * Opt-in fast-alpha mode: render() evaluates alpha with the
-     * vectorized polynomial exponential (simd::simdExp, relative
-     * error < 3e-7) instead of std::exp.  NOT bit-identical to
-     * renderReference — the contract is perceptual: >= 55 dB PSNR
-     * against the exact image on every preset scene
-     * (tests/test_gw_equivalence.cc).  Off by default; the bit-
-     * exactness guarantees elsewhere in this header assume it is off.
-     */
-    bool fast_alpha = false;
 
     /**
      * Copy with degenerate values clamped to the smallest legal

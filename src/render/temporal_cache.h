@@ -165,7 +165,6 @@ class TemporalCache
     int width_ = 0, height_ = 0, tile_size_ = 0;
     BoundingMode bounding_ = BoundingMode::Obb3Sigma;
     float termination_t_ = 0.0f, alpha_cutoff_ = 0.0f;
-    bool fast_alpha_ = false;
     std::size_t cloud_size_ = 0;
     Camera camera_;            ///< camera of the cached exact state
 

@@ -108,15 +108,17 @@ struct TileScratch
  * frame is bit-identical to the cold render of the same list.
  *
  * Each splat is blended kWidth pixels at a time: q, the cutoff and
- * termination masks, the alpha clamp, the color add and the
- * transmittance update all run on a whole lane group, each lane the
- * scalar reference's op sequence at its own pixel; only std::exp is
- * called per live lane.  Color and T accumulate in the scratch planes
- * and are written to @p image once, after the last splat.  The
- * write-back assigns, so the tile's pixels in @p image must be zero
- * on entry (cold frames start from a zeroed image; incremental frames
- * clear a dirty tile's block before calling) — then the assigned sum
- * is bit-identical to blending into the image in place.  Writes stay
+ * termination masks, the exponential, the alpha clamp, the color add
+ * and the transmittance update all run on a whole lane group, each
+ * lane the scalar reference's op sequence at its own pixel (the
+ * exponential is simd::expExact, std::exp bit for bit; builds
+ * without its vector form call std::exp per live lane).  Color and T
+ * accumulate in the scratch planes and are written to @p image once,
+ * after the last splat.  The write-back assigns, so the tile's pixels
+ * in @p image must be zero on entry (cold frames start from a zeroed
+ * image; incremental frames clear a dirty tile's block before
+ * calling) — then the assigned sum is bit-identical to blending into
+ * the image in place.  Writes stay
  * inside the tile's pixel region, so disjoint tiles rasterize
  * concurrently.
  *
@@ -140,7 +142,6 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
 {
     const int tile = config.tile_size;
     const int sub_n = (tile + kSub - 1) / kSub;
-    const bool fast_alpha = config.fast_alpha;
 
     int x0 = bx * tile;
     int y0 = by * tile;
@@ -166,10 +167,14 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
 
     // Counters tally in locals and flush once per tile: behind the
     // StandardFlowStats reference, a per-lane increment could alias
-    // the float plane stores and the bitmap words.
+    // the float plane stores and the bitmap words.  exp_lanes, the
+    // host's count of exponentials evaluated, goes to the metrics
+    // registry, not to the stats the simulators read.
+    static obs::Counter &exp_lanes_counter =
+        obs::MetricsRegistry::global().counter("render.tile.exp_lanes");
     std::int64_t tile_fetches = 0, subtile_passes = 0, alpha_evals = 0;
-    std::int64_t blend_ops = 0;
-    const simd::FloatV half_v(0.5f), neg_half_v(-0.5f), cap_v(0.99f);
+    std::int64_t blend_ops = 0, exp_lanes = 0;
+    const simd::FloatV half_v(0.5f), cap_v(0.99f);
     const simd::FloatV term_v(config.termination_t);
     const simd::FloatV cutoff_v(config.alpha_cutoff);
 
@@ -245,9 +250,8 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
                 bits &= ~(t < term_v).bits();
                 if (bits == 0)
                     continue;
-                const simd::FloatV e =
-                    fast_alpha ? simd::simdExp(q * neg_half_v)
-                               : expFalloff(q, bits);
+                const simd::FloatV e = expFalloff(q, bits);
+                exp_lanes += std::popcount(bits);
                 // Scalar `if (a > 0.99f) a = 0.99f` (NaN kept), then
                 // `a < alpha_cutoff -> skip`.
                 const simd::FloatV a = simd::min(cap_v, opacity_v * e);
@@ -290,6 +294,7 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
     st.subtile_passes += subtile_passes;
     st.alpha_evals += alpha_evals;
     st.blend_ops += blend_ops;
+    exp_lanes_counter.add(exp_lanes);
 
     planes.writeBack(image, x0, y0, x1 - x0, y1 - y0, tile);
 }
@@ -678,7 +683,6 @@ TileRenderer::renderTemporal(const CloudView &view,
          cache.bounding_ != config_.bounding ||
          cache.termination_t_ != config_.termination_t ||
          cache.alpha_cutoff_ != config_.alpha_cutoff ||
-         cache.fast_alpha_ != config_.fast_alpha ||
          cache.cloud_size_ != view.size())) {
         cache.valid_ = false;
         cache.exact_valid_ = false;
@@ -929,7 +933,6 @@ TileRenderer::renderTemporal(const CloudView &view,
     cache.bounding_ = config_.bounding;
     cache.termination_t_ = config_.termination_t;
     cache.alpha_cutoff_ = config_.alpha_cutoff;
-    cache.fast_alpha_ = config_.fast_alpha;
     cache.cloud_size_ = view.size();
     cache.camera_ = cam;
     cache.soa_ = std::move(soa);

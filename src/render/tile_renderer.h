@@ -23,8 +23,8 @@
  * of fresh lists, per-splat pixel iteration bounded by the
  * cutoff-safe footprint rect — skipped pixels are accounted
  * analytically, so the reported hardware stats do not change —
- * blended one SIMD lane group at a time into per-tile planar
- * accumulators, and one chunk-ordered merge).  render() runs all four
+ * blended one SIMD lane group at a time, exponential included, into
+ * per-tile planar accumulators, and one chunk-ordered merge).  render() runs all four
  * over every tile; renderTemporal() runs the same four on a full
  * rebuild, and prepare, cover and raster of the dirty tiles on an
  * incremental frame; tilesPerSplat() packs a given splat list with
@@ -63,18 +63,6 @@ struct TileRendererConfig
     BoundingMode bounding = BoundingMode::Obb3Sigma;
     float termination_t = 1e-4f;              ///< early-termination T
     float alpha_cutoff = kAlphaMin;           ///< min blended alpha
-
-    /**
-     * Opt-in fast-alpha mode: render() evaluates alpha with the
-     * vectorized polynomial exponential (simd::simdExp, relative
-     * error < 3e-7) instead of std::exp.  NOT bit-identical to
-     * renderReference — the contract is perceptual: >= 55 dB PSNR
-     * against the exact image on every preset scene
-     * (tests/test_renderer_equivalence.cc).  Off by default; every
-     * bit-exactness guarantee elsewhere in this header assumes it is
-     * off.
-     */
-    bool fast_alpha = false;
 
     /**
      * Near-exact settings used as the quality ground truth of Table 2:

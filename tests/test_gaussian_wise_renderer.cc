@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics_registry.h"
 #include "render/gaussian_wise_renderer.h"
 #include "render/metrics.h"
 #include "render/tile_renderer.h"
@@ -224,6 +225,31 @@ TEST(GaussianWiseRenderer, EmptyScene)
     Image img = renderer.render(cloud, cam, st);
     EXPECT_FLOAT_EQ(img.meanIntensity(), 0.0f);
     EXPECT_EQ(st.groups, 0);
+}
+
+TEST(GaussianWiseRenderer, ExpLanesCountTheKernelsExponentials)
+{
+    // render.gw.exp_lanes: one per live lane reaching Stage IV's exp.
+    // Every such lane blends, so it equals the blend count; a repeated
+    // frame adds the same count (full view and Cmode).
+    GaussianCloud cloud = generateScene(test::tinyRoomSpec(), 1.0f);
+    Camera cam = makeCamera(test::tinyRoomSpec());
+    const obs::Counter &exp_lanes =
+        obs::MetricsRegistry::global().counter("render.gw.exp_lanes");
+    for (int subview : {0, 64}) {
+        SCOPED_TRACE(subview);
+        GaussianWiseConfig cfg;
+        cfg.subview_size = subview;
+        const GaussianWiseRenderer renderer(cfg);
+        GaussianWiseStats first_st, second_st;
+        const std::int64_t before = exp_lanes.value();
+        renderer.render(cloud, cam, first_st);
+        const std::int64_t first = exp_lanes.value() - before;
+        renderer.render(cloud, cam, second_st);
+        EXPECT_EQ(exp_lanes.value() - before, 2 * first);
+        ASSERT_GT(first_st.blend_ops, 0);
+        EXPECT_EQ(first, GCC3D_OBS_ENABLED ? first_st.blend_ops : 0);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -265,32 +265,6 @@ TEST(GwEquivalence, LaneBlendMatchesReferenceOnRaggedViews)
     }
 }
 
-TEST(GwEquivalence, FastAlphaMeetsPsnrBoundOnPresetScenes)
-{
-    // --fast-alpha trades bit-exactness for the vectorized polynomial
-    // exp; its accuracy contract is perceptual: >= 55 dB PSNR against
-    // the exact image on every preset scene (full view and Cmode).
-    for (int subview : {0, 128}) {
-        GaussianWiseConfig cfg;
-        cfg.subview_size = subview;
-        GaussianWiseConfig fast_cfg = cfg;
-        fast_cfg.fast_alpha = true;
-        GaussianWiseRenderer exact(cfg);
-        GaussianWiseRenderer fast(fast_cfg);
-        for (SceneId id :
-             {SceneId::Palace, SceneId::Lego, SceneId::Train}) {
-            SceneSpec spec = scenePreset(id);
-            GaussianCloud cloud = generateScene(spec, 0.02f);
-            Camera cam = makeCamera(spec);
-            GaussianWiseStats s1, s2;
-            Image img_exact = exact.render(cloud, cam, s1);
-            Image img_fast = fast.render(cloud, cam, s2);
-            EXPECT_GE(psnr(img_exact, img_fast), 55.0)
-                << sceneName(id) << " subview " << subview;
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Standard dataflow: the per-tile rasterization fan-out must be
 // bit-identical to the serial sweep at every worker count.

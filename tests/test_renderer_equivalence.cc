@@ -292,30 +292,6 @@ TEST(RendererEquivalence, LaneBlendMatchesReferenceOnRaggedTiles)
     }
 }
 
-TEST(RendererEquivalence, FastAlphaMeetsPsnrBoundOnPresetScenes)
-{
-    // --fast-alpha trades bit-exactness for the vectorized polynomial
-    // exp; its accuracy contract is perceptual: >= 55 dB PSNR against
-    // the exact image on every preset scene.
-    TileRendererConfig fast_cfg;
-    fast_cfg.fast_alpha = true;
-    TileRenderer exact;
-    TileRenderer fast(fast_cfg);
-    for (SceneId id : {SceneId::Palace, SceneId::Lego, SceneId::Train}) {
-        SceneSpec spec = scenePreset(id);
-        GaussianCloud cloud = generateScene(spec, 0.02f);
-        Camera cam = makeCamera(spec);
-        StandardFlowStats s1, s2;
-        Image img_exact = exact.render(cloud, cam, s1);
-        Image img_fast = fast.render(cloud, cam, s2);
-        EXPECT_GE(psnr(img_exact, img_fast), 55.0) << sceneName(id);
-        // (No stats equality here: the q-mask decisions match, but
-        // termination-dependent counters like alpha_evals may shift
-        // by a pixel when the approximate alpha moves t across the
-        // termination threshold.)
-    }
-}
-
 /** A slow camera stream with each pose held @p hold display frames. */
 Trajectory
 heldStream(const SceneSpec &spec, int poses, float arc, int hold)

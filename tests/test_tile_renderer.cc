@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics_registry.h"
 #include "render/metrics.h"
 #include "render/tile_renderer.h"
 #include "test_util.h"
@@ -157,6 +158,31 @@ TEST(TileRenderer, EarlyTerminationReducesWork)
     TileRenderer(loose).render(cloud, cam, sl);
     EXPECT_LT(ss.blend_ops, sl.blend_ops);
     EXPECT_LE(ss.rendered_gaussians, sl.rendered_gaussians);
+}
+
+TEST(TileRenderer, ExpLanesCountTheKernelsExponentials)
+{
+    // render.tile.exp_lanes: one per live lane reaching the exp step,
+    // so at least one per blend and at most one per counted alpha
+    // test; a repeated frame adds the same count.
+    GaussianCloud cloud = generateScene(test::tinyRoomSpec(), 1.0f);
+    Camera cam = makeCamera(test::tinyRoomSpec());
+    const TileRenderer renderer;
+    const obs::Counter &exp_lanes =
+        obs::MetricsRegistry::global().counter("render.tile.exp_lanes");
+    StandardFlowStats first_st, second_st;
+    const std::int64_t before = exp_lanes.value();
+    renderer.render(cloud, cam, first_st);
+    const std::int64_t first = exp_lanes.value() - before;
+    renderer.render(cloud, cam, second_st);
+    EXPECT_EQ(exp_lanes.value() - before, 2 * first);
+    ASSERT_GT(first_st.blend_ops, 0);
+    if (GCC3D_OBS_ENABLED) {
+        EXPECT_GE(first, first_st.blend_ops);
+        EXPECT_LE(first, first_st.alpha_evals);
+    } else {
+        EXPECT_EQ(first, 0);
+    }
 }
 
 TEST(TileRenderer, EmptySceneRendersBlack)
