@@ -17,6 +17,14 @@
  * documents the choice: the LUT's fixed-point quantization costs more
  * than libm's exp on a modern host, and BM_ExpExact's per-value rate
  * against BM_ExpStd is what the vector form buys the kernels.
+ *
+ * Boundary walk: BM_BoundaryBlockTraversal times reach() plus
+ * traverseLanes() (8-px blocks, 512x512 view, trivial visitor).  The
+ * reach-bitmap walk against the breadth-first queue walk it replaced,
+ * per traversal (Release, 4-vCPU Xeon with AVX2, medians of 3 runs):
+ * radius 8: 618 -> 479 ns; 32: 3488 -> 2520 ns; 96: 24680 -> 17100
+ * ns; the thin 96 (1000:1, 0.5 rad), whose reach window evaluates
+ * 416 blocks to visit 56: 2720 -> 2395 ns.
  */
 
 #include <benchmark/benchmark.h>
@@ -193,26 +201,43 @@ BENCHMARK(BM_ConicRowSimd)->Arg(8)->Arg(64);
 void
 BM_BoundaryBlockTraversal(benchmark::State &state)
 {
+    // Arg 0: 3-sigma radius in pixels; arg 1: 0 for a near-round
+    // ellipse, 1 for a thin one (1000:1 variances) rotated 0.5 rad,
+    // whose bounding box holds far more blocks than it reaches.
     const int radius = static_cast<int>(state.range(0));
-    float var = static_cast<float>(radius * radius) / 9.0f;
-    Ellipse e = Ellipse::fromCovariance(
-        Vec2(256, 256), Mat2(var, 0.3f * var, 0.3f * var, var));
+    const float var = static_cast<float>(radius * radius) / 9.0f;
+    Mat2 cov(var, 0.3f * var, 0.3f * var, var);
+    if (state.range(1) != 0) {
+        const float c = std::cos(0.5f), s = std::sin(0.5f);
+        const float minor = var / 1000.0f;
+        cov = Mat2(c * c * var + s * s * minor, c * s * (var - minor),
+                   c * s * (var - minor), s * s * var + c * c * minor);
+    }
+    Ellipse e = Ellipse::fromCovariance(Vec2(256, 256), cov);
     BlockTraversal traversal(8, 512, 512);
-    // The lane-group traversal GaussianWiseRenderer runs, with a
-    // trivial visitor, so this times the walk and the q evaluation.
+    // The reach evaluation and lane-group walk GaussianWiseRenderer
+    // runs, with a trivial visitor, so this times the reach bits, the
+    // flood, the walk and the q evaluation.
     std::uint64_t sink = 0;
     auto visit = [&](int x, int, const simd::FloatV &, unsigned bits) {
         sink += static_cast<std::uint64_t>(x) ^ bits;
     };
     BoundaryStats bs;
+    ReachWindow window;
     for (auto _ : state) {
-        bs = traversal.traverseLanes(e, 0.8f, nullptr, visit);
+        traversal.reach(e, 0.8f, window);
+        bs = traversal.traverseLanes(window, nullptr, visit);
         benchmark::DoNotOptimize(bs);
         benchmark::DoNotOptimize(sink);
     }
     state.counters["pixels"] = static_cast<double>(bs.influence_pixels);
 }
-BENCHMARK(BM_BoundaryBlockTraversal)->Arg(8)->Arg(32)->Arg(96);
+BENCHMARK(BM_BoundaryBlockTraversal)
+    ->ArgNames({"radius", "thin"})
+    ->Args({8, 0})
+    ->Args({32, 0})
+    ->Args({96, 0})
+    ->Args({96, 1});
 
 void
 BM_BitonicSort(benchmark::State &state)

@@ -15,9 +15,11 @@
  *    is divided into n x n pixel blocks matching the Alpha Unit's PE
  *    array; traversal proceeds block-by-block from the center block,
  *    evaluating all n^2 alphas of a visited block in parallel and
- *    expanding only through blocks that contain passing pixels
+ *    expanding only through blocks the elliptical footprint can reach
  *    (directional early termination falls out of the convexity of the
- *    elliptical footprint).
+ *    elliptical footprint).  traverse() is the scalar breadth-first
+ *    oracle; traverseLanes() visits the same blocks from a reach
+ *    bitmap (ReachWindow) evaluated kWidth blocks at a time.
  */
 
 #ifndef GCC3D_RENDER_BOUNDARY_H
@@ -27,7 +29,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -138,6 +139,93 @@ rectMayIntersect(const Ellipse &e, float cutoff, float x0, float y0,
 
 } // namespace boundary_detail
 
+/** Inclusive block rectangle [x0, x1] x [y0, y1]. */
+struct BlockRect
+{
+    int x0 = 0;
+    int y0 = 0;
+    int x1 = -1;
+    int y1 = -1;
+
+    bool empty() const { return x1 < x0 || y1 < y0; }
+
+    std::int64_t
+    area() const
+    {
+        if (empty())
+            return 0;
+        return static_cast<std::int64_t>(x1 - x0 + 1) * (y1 - y0 + 1);
+    }
+};
+
+namespace boundary_detail {
+
+/** One splat's boundary-test operands: conic, center and q cutoff. */
+struct ReachConic
+{
+    float c00 = 0.0f, c01 = 0.0f, c10 = 0.0f, c11 = 0.0f;
+    float cx = 0.0f, cy = 0.0f;
+    float cutoff = -1.0f;
+};
+
+/**
+ * The boundary test of kWidth blocks (bx0 + i, by), one per lane, of
+ * an n x n block grid over a width x height view: bit i is
+ * `minConicQOverRect(..., rect of block bx0 + i) <= cutoff`, the rect
+ * clipped to the view as traverse() clips it.  Each lane runs
+ * minConicQOverRect's scalar op sequence (the std::clamp and std::min
+ * operand order included), so every bit equals the scalar decision,
+ * NaN and infinities included.  Exact for |(bx0 + i) * n| < 2^24.
+ */
+unsigned reachLanes(const ReachConic &k, int bx0, int by, int n,
+                    int width, int height);
+
+} // namespace boundary_detail
+
+/**
+ * One splat's footprint over a window of blocks, the working set of
+ * BlockTraversal::traverseLanes.  Each window row is a run of 64-bit
+ * words (several when the window is wider than 64 blocks) holding one
+ * reach bit per block — the boundary test passes for the block's rect
+ * — and one visited bit per block: the 8-connected flood of the reach
+ * bits from the 3x3 seed blocks, which is exactly the component
+ * traverse()'s breadth-first walk visits.  The buffers are reused from
+ * splat to splat; they allocate only when a window outgrows every
+ * earlier one.
+ */
+class ReachWindow
+{
+  public:
+    /** The evaluated window, in blocks (empty when nothing reaches). */
+    const BlockRect &window() const { return win_; }
+
+    /**
+     * Reach bits evaluated for the current splat: the window's area,
+     * plus that of every window the flood outgrew.
+     */
+    std::int64_t evaluatedBlocks() const { return evaluated_; }
+
+    /** Bytes held allocated. */
+    std::size_t
+    bytes() const
+    {
+        return (reach_.capacity() + visit_.capacity()) *
+               sizeof(std::uint64_t);
+    }
+
+  private:
+    friend class BlockTraversal;
+
+    boundary_detail::ReachConic conic_;
+    int seed_bx_ = 0;  ///< block of the (clamped) projected center
+    int seed_by_ = 0;
+    int words_ = 0;    ///< words per window row
+    BlockRect win_;
+    std::int64_t evaluated_ = 0;
+    std::vector<std::uint64_t> reach_;  ///< reach bits, row-major
+    std::vector<std::uint64_t> visit_;  ///< flooded (visited) bits
+};
+
 /**
  * Block-level traversal used by the Alpha Unit.  Blocks are n x n
  * pixels; a visited block evaluates all of its pixel alphas (one PE
@@ -157,8 +245,6 @@ class BlockTraversal
     int blocksX() const { return blocks_x_; }
     int blocksY() const { return blocks_y_; }
     int blockSize() const { return block_size_; }
-    int viewWidth() const { return width_; }
-    int viewHeight() const { return height_; }
 
     /**
      * Visitor invoked once per visited block that contains at least
@@ -167,7 +253,9 @@ class BlockTraversal
     using BlockVisitor = std::function<void(int bx, int by)>;
 
     /**
-     * Run the traversal for one splat.
+     * Run the traversal for one splat: the scalar oracle.  A
+     * breadth-first walk from the 3x3 blocks around the projected
+     * center, expanding through every block blockReachable() accepts.
      *
      * @param e          projected ellipse
      * @param omega      opacity
@@ -184,12 +272,42 @@ class BlockTraversal
                            const BlockVisitor &block_visit = nullptr) const;
 
     /**
-     * Fast statically-dispatched traversal: identical walk order,
-     * pass/fail decisions and statistics to traverse(), handing the
-     * visitor whole SIMD lane groups instead of single pixels — the
-     * software shape of the Alpha Unit's n x n PE array, which
-     * evaluates a block's alphas in parallel (Sec. 4.4):
+     * Evaluate one splat's reach bits into @p w, kWidth blocks per
+     * lane group (boundary_detail::reachLanes).  The window is the
+     * conic's bounding box at the cutoff widened by one block on each
+     * side, unioned with the 3x3 seed blocks and with @p include, and
+     * clipped to the grid.  The bounding box only sizes the window:
+     * traverseLanes grows it if the flood reaches an edge the grid
+     * did not clip, so a wrong box (rounding, a non-finite or
+     * indefinite conic) costs time, never a block.
      *
+     * @return false when no block can reach (omega at or below the
+     *         1/255 threshold, or an empty grid); @p w then holds an
+     *         empty window
+     */
+    bool reach(const Ellipse &e, float omega, ReachWindow &w,
+               const BlockRect &include = {}) const;
+
+    /**
+     * Whether some block of @p r that the footprint reaches is not
+     * T-masked: the conditional-loading test, read from the reach
+     * bits reach() evaluated.  @p r must lie within w.window(), which
+     * holds when it was reach()'s @p include; false when @p r is
+     * empty or nothing reaches.
+     */
+    bool anyUnmaskedReach(const ReachWindow &w, const BlockRect &r,
+                          const std::uint8_t *t_mask) const;
+
+    /**
+     * Fast statically-dispatched traversal of the splat reach()
+     * evaluated into @p w: the same visited blocks, pass/fail
+     * decisions and statistics as traverse(), handing the visitor
+     * whole SIMD lane groups instead of single pixels — the software
+     * shape of the Alpha Unit's n x n PE array, which evaluates a
+     * block's alphas in parallel (Sec. 4.4):
+     *
+     *  - the visited set is the flood of @p w's reach bits (row
+     *    words, no queue), so each block is visited at most once;
      *  - the visitor is a template parameter (no std::function call
      *    per group);
      *  - each row of a visited block is evaluated kWidth pixels at a
@@ -204,8 +322,13 @@ class BlockTraversal
      *  - influence_pixels and active_blocks are counted by popcount
      *    of the pass bits, so the stats match traverse() exactly.
      *
-     * A lane group never spans two blocks.  Groups of one block are
-     * handed out in row-major order, each with at least one pass bit.
+     * Blocks are visited in row-major block order (traverse() walks
+     * breadth-first); within a block, lane groups are handed out in
+     * row-major pixel order, each with at least one pass bit, so the
+     * pixel sequence is traverse()'s reordered by block row, then
+     * block column.  A block's T-mask entry is read when the block is
+     * visited, and only that block's own pixels can change it, so the
+     * order changes no decision.  A lane group never spans two blocks.
      *
      * @p visit   callable (int x, int y, const simd::FloatV &q,
      *            unsigned pass_bits)
@@ -215,161 +338,83 @@ class BlockTraversal
      */
     template <typename Visit>
     BoundaryStats
-    traverseLanes(const Ellipse &e, float omega,
-                  const std::vector<std::uint8_t> *t_mask,
+    traverseLanes(ReachWindow &w, const std::vector<std::uint8_t> *t_mask,
                   Visit &&visit, std::uint8_t *active = nullptr) const
     {
-        namespace bd = boundary_detail;
         BoundaryStats stats;
-        float cutoff = bd::quadraticCutoff(omega);
-        if (cutoff < 0.0f || blocks_x_ <= 0 || blocks_y_ <= 0)
+        if (w.win_.empty())
             return stats;
+        flood(w);
 
-        auto [cx, cy] = bd::nearestInBounds(e.center, width_, height_);
-        int cbx = cx / block_size_;
-        int cby = cy / block_size_;
-
-        // Reusable scratch with generation stamping so repeated
-        // traversals don't pay a per-call allocation of the full
-        // block map.
-        thread_local std::vector<std::uint32_t> stamp;
-        thread_local std::uint32_t generation = 0;
-        std::size_t nblocks =
-            static_cast<std::size_t>(blocks_x_) * blocks_y_;
-        if (stamp.size() < nblocks) {
-            stamp.assign(nblocks, 0);
-            generation = 0;
-        }
-        if (++generation == 0) {
-            // 2^32 traversals on this thread: stale stamps would
-            // alias the restarted counter, so wipe them once.
-            std::fill(stamp.begin(), stamp.end(), 0u);
-            generation = 1;
-        }
-        auto seen = [&](int bx, int by) -> std::uint32_t & {
-            return stamp[static_cast<std::size_t>(by) * blocks_x_ + bx];
-        };
-
-        // Conic and center hoisted into locals: the visitor's float
-        // stores would otherwise force reloads of the Ellipse members
+        // Conic and center copied into locals: the visitor's float
+        // stores would otherwise force reloads of the window members
         // under type-based aliasing.  Every evaluation below matches
-        // Ellipse::quadraticForm (and rectMayIntersect's use of it)
-        // operation for operation, so all pass/fail and expansion
-        // decisions are unchanged.
-        const float fc00 = e.conic(0, 0), fc01 = e.conic(0, 1);
-        const float fc10 = e.conic(1, 0), fc11 = e.conic(1, 1);
-        const float fcx = e.center.x, fcy = e.center.y;
+        // Ellipse::quadraticForm operation for operation.
+        const boundary_detail::ReachConic k = w.conic_;
+        const simd::FloatV c00v(k.c00), c01v(k.c01), c10v(k.c10),
+            c11v(k.c11);
+        const simd::FloatV cxv(k.cx), cutoff_v(k.cutoff), half_v(0.5f);
 
-        // A block is enqueued only if the runtime identifier's
-        // boundary test says the elliptical footprint can reach it —
-        // the directional early termination of Sec. 4.4: directions
-        // whose boundary alphas all fail the threshold are pruned, so
-        // perimeter blocks outside the ellipse are never streamed
-        // into the PE array.
-        auto intersects = [&](int bx, int by) {
-            float x0 = static_cast<float>(bx * block_size_);
-            float y0 = static_cast<float>(by * block_size_);
-            float x1 =
-                std::min<float>(x0 + static_cast<float>(block_size_),
-                                static_cast<float>(width_));
-            float y1 =
-                std::min<float>(y0 + static_cast<float>(block_size_),
-                                static_cast<float>(height_));
-            return bd::minConicQOverRect(fc00, fc01, fc10, fc11, fcx,
-                                         fcy, x0, y0, x1,
-                                         y1) <= cutoff;
-        };
+        const int rows = w.win_.y1 - w.win_.y0 + 1;
+        for (int r = 0; r < rows; ++r) {
+            const int by = w.win_.y0 + r;
+            const std::uint64_t *row =
+                w.visit_.data() + static_cast<std::size_t>(r) * w.words_;
+            for (int word = 0; word < w.words_; ++word) {
+                for (std::uint64_t blocks = row[word]; blocks != 0;
+                     blocks &= blocks - 1) {
+                    const int bx = w.win_.x0 + 64 * word +
+                                   std::countr_zero(blocks);
+                    const std::size_t bi =
+                        static_cast<std::size_t>(by) * blocks_x_ + bx;
+                    // T-masked blocks are excluded from alpha
+                    // computation (Sec. 4.5); the flood walked
+                    // through them.
+                    if (t_mask != nullptr && (*t_mask)[bi] != 0)
+                        continue;
 
-        thread_local std::deque<std::pair<int, int>> queue;
-        queue.clear();
-        auto push = [&](int bx, int by) {
-            if (bx < 0 || bx >= blocks_x_ || by < 0 || by >= blocks_y_)
-                return;
-            std::uint32_t &s = seen(bx, by);
-            if (s == generation)
-                return;
-            s = generation;
-            if (intersects(bx, by))
-                queue.emplace_back(bx, by);
-        };
-
-        // Seed: the block holding the projected center (or nearest
-        // in-bounds block) and its 8 neighbors, so a center on a
-        // block edge cannot strand the traversal.
-        for (int dy = -1; dy <= 1; ++dy)
-            for (int dx = -1; dx <= 1; ++dx)
-                push(cbx + dx, cby + dy);
-
-        // Broadcast conic/center/cutoff once per splat for the
-        // vectorized row scans.  (An earlier revision solved a
-        // per-row quadratic interval in double to skip dead row
-        // tails; with blocks only block_size_ pixels wide and the
-        // row evaluated kWidth lanes per step, the sqrt-per-row
-        // solve cost more than the tails it saved, so every row now
-        // just evaluates masked — same q bits, same decisions.)
-        const simd::FloatV c00v(fc00), c01v(fc01), c10v(fc10),
-            c11v(fc11);
-        const simd::FloatV cxv(fcx), cutoff_v(cutoff), half_v(0.5f);
-
-        while (!queue.empty()) {
-            auto [bx, by] = queue.front();
-            queue.pop_front();
-
-            int x0 = bx * block_size_;
-            int y0 = by * block_size_;
-            int x1 = std::min(x0 + block_size_, width_) - 1;
-            int y1 = std::min(y0 + block_size_, height_) - 1;
-
-            bool masked =
-                t_mask != nullptr &&
-                (*t_mask)[static_cast<std::size_t>(by) * blocks_x_ +
-                          bx] != 0;
-
-            if (!masked) {
-                // The whole block streams through the n x n PE array.
-                ++stats.visited_blocks;
-                stats.alpha_evals +=
-                    static_cast<std::int64_t>(x1 - x0 + 1) *
-                    (y1 - y0 + 1);
-                std::int64_t passing = 0;
-                for (int y = y0; y <= y1; ++y) {
-                    const float fdy =
-                        (static_cast<float>(y) + 0.5f) - fcy;
-                    const simd::FloatV dyv(fdy);
-                    for (int x = x0; x <= x1; x += simd::kWidth) {
-                        const int nlane =
-                            std::min<int>(simd::kWidth, x1 - x + 1);
-                        simd::FloatV dxv =
-                            (simd::FloatV::iotaFrom(x) + half_v) - cxv;
-                        simd::FloatV qv =
-                            dxv * (c00v * dxv + c01v * dyv) +
-                            dyv * (c10v * dxv + c11v * dyv);
-                        // Scalar `q > cutoff -> skip`, NaN included.
-                        const unsigned bits =
-                            simd::MaskV::firstN(nlane).bits() &
-                            ~(qv > cutoff_v).bits();
-                        if (bits == 0)
-                            continue;
-                        passing += std::popcount(bits);
-                        visit(x, y, qv, bits);
+                    // The whole block streams through the n x n PE
+                    // array.
+                    const int x0 = bx * block_size_;
+                    const int y0 = by * block_size_;
+                    const int x1 = std::min(x0 + block_size_, width_) - 1;
+                    const int y1 = std::min(y0 + block_size_, height_) - 1;
+                    ++stats.visited_blocks;
+                    stats.alpha_evals +=
+                        static_cast<std::int64_t>(x1 - x0 + 1) *
+                        (y1 - y0 + 1);
+                    std::int64_t passing = 0;
+                    for (int y = y0; y <= y1; ++y) {
+                        const float fdy =
+                            (static_cast<float>(y) + 0.5f) - k.cy;
+                        const simd::FloatV dyv(fdy);
+                        for (int x = x0; x <= x1; x += simd::kWidth) {
+                            const int nlane =
+                                std::min<int>(simd::kWidth, x1 - x + 1);
+                            simd::FloatV dxv =
+                                (simd::FloatV::iotaFrom(x) + half_v) -
+                                cxv;
+                            simd::FloatV qv =
+                                dxv * (c00v * dxv + c01v * dyv) +
+                                dyv * (c10v * dxv + c11v * dyv);
+                            // Scalar `q > cutoff -> skip`, NaN included.
+                            const unsigned bits =
+                                simd::MaskV::firstN(nlane).bits() &
+                                ~(qv > cutoff_v).bits();
+                            if (bits == 0)
+                                continue;
+                            passing += std::popcount(bits);
+                            visit(x, y, qv, bits);
+                        }
+                    }
+                    stats.influence_pixels += passing;
+                    if (passing > 0) {
+                        ++stats.active_blocks;
+                        if (active != nullptr)
+                            active[bi] = 1;
                     }
                 }
-                stats.influence_pixels += passing;
-                if (passing > 0) {
-                    ++stats.active_blocks;
-                    if (active != nullptr)
-                        active[static_cast<std::size_t>(by) * blocks_x_ +
-                               bx] = 1;
-                }
             }
-            // T-masked blocks are excluded from alpha computation
-            // (Sec. 4.5) but the walk continues through them: the
-            // push filter above already restricts expansion to blocks
-            // the ellipse reaches.
-            static constexpr int kDx[8] = {1, -1, 0, 0, 1, 1, -1, -1};
-            static constexpr int kDy[8] = {0, 0, 1, -1, 1, -1, 1, -1};
-            for (int k = 0; k < 8; ++k)
-                push(bx + kDx[k], by + kDy[k]);
         }
         return stats;
     }
@@ -385,6 +430,16 @@ class BlockTraversal
                         int by) const;
 
   private:
+    /** Fill w.reach_ for w.win_ (visited bits cleared). */
+    void evaluate(ReachWindow &w) const;
+
+    /**
+     * Flood w's reach bits from the seed blocks into w.visit_,
+     * growing and re-evaluating the window until the flood touches
+     * no edge the grid did not clip.
+     */
+    void flood(ReachWindow &w) const;
+
     int block_size_;
     int width_;
     int height_;

@@ -92,61 +92,26 @@ floorDiv(int a, int b)
 }
 
 /**
- * Per-Gaussian conditional loading (the CC half of the dataflow,
- * Fig. 1): true when every block the footprint can touch has
- * exhausted transmittance, in which case the 48 SH floats are never
- * fetched and the Gaussian never enters the Alpha Unit.  The block
- * window uses floor division so footprints centered left/above the
- * view (negative local coordinates) still cover exactly the blocks
- * the traversal could reach.  The reachability test is
- * BlockTraversal::blockReachable's, inlined with the conic hoisted
- * into locals (identical operations, identical decisions).
+ * The block window of per-Gaussian conditional loading (the CC half
+ * of the dataflow, Fig. 1): the blocks within radius_omega of the
+ * center, floor-divided so footprints centered left/above the view
+ * (negative local coordinates) still cover exactly the blocks the
+ * traversal could reach, and clipped to the grid.  The Gaussian
+ * skips — its 48 SH floats are never fetched and it never enters the
+ * Alpha Unit — when the window is not empty and holds no unmasked
+ * block the footprint reaches (BlockTraversal::anyUnmaskedReach over
+ * the reach bits its traversal then walks).
  */
-bool
-conditionalLoadSkips(const BlockTraversal &traversal,
-                     const std::vector<std::uint8_t> &t_mask,
-                     const Ellipse &local, float opacity, int radius,
-                     int block_size, int bx_n, int by_n)
+BlockRect
+loadWindow(const Ellipse &local, int radius, int block_size, int bx_n,
+           int by_n)
 {
     const int cx = static_cast<int>(std::floor(local.center.x));
     const int cy = static_cast<int>(std::floor(local.center.y));
-    const int bx0 = std::max(0, floorDiv(cx - radius, block_size));
-    const int by0 = std::max(0, floorDiv(cy - radius, block_size));
-    const int bx1 = std::min(bx_n - 1, floorDiv(cx + radius, block_size));
-    const int by1 = std::min(by_n - 1, floorDiv(cy + radius, block_size));
-    if (bx0 > bx1 || by0 > by1)
-        return false;  // footprint window misses the view: no skip claim
-
-    const float cutoff = boundary_detail::quadraticCutoff(opacity);
-    if (cutoff < 0.0f)
-        return true;  // below 1/255 everywhere: nothing to load
-    const float fc00 = local.conic(0, 0), fc01 = local.conic(0, 1);
-    const float fc10 = local.conic(1, 0), fc11 = local.conic(1, 1);
-    const float fcx = local.center.x, fcy = local.center.y;
-
-    for (int by = by0; by <= by1; ++by) {
-        for (int bx = bx0; bx <= bx1; ++bx) {
-            if (t_mask[static_cast<std::size_t>(by) * bx_n + bx])
-                continue;
-            // Unmasked corner blocks the elliptical footprint cannot
-            // reach don't block the skip: the traversal would never
-            // evaluate them.
-            float x0 = static_cast<float>(bx * block_size);
-            float y0 = static_cast<float>(by * block_size);
-            float x1 = std::min<float>(
-                x0 + static_cast<float>(block_size),
-                static_cast<float>(traversal.viewWidth()));
-            float y1 = std::min<float>(
-                y0 + static_cast<float>(block_size),
-                static_cast<float>(traversal.viewHeight()));
-            if (boundary_detail::minConicQOverRect(
-                    fc00, fc01, fc10, fc11, fcx, fcy, x0, y0, x1,
-                    y1) > cutoff)
-                continue;
-            return false;
-        }
-    }
-    return true;
+    return {std::max(0, floorDiv(cx - radius, block_size)),
+            std::max(0, floorDiv(cy - radius, block_size)),
+            std::min(bx_n - 1, floorDiv(cx + radius, block_size)),
+            std::min(by_n - 1, floorDiv(cy + radius, block_size))};
 }
 
 } // namespace
@@ -195,9 +160,10 @@ struct GaussianWiseRenderer::SplatCache
 
 /**
  * Reusable per-view working set: the per-pixel planes, T-mask,
- * per-block live and touched flags and the group splat list are
- * assigned (not reallocated) per sub-view, so Cmode frames touching
- * dozens of sub-views stop churning the allocator.  The planes stay
+ * per-block live and touched flags, the splat reach window and the
+ * group splat list are assigned (not reallocated) per sub-view and
+ * per splat, so Cmode frames touching dozens of sub-views stop
+ * churning the allocator.  The planes stay
  * clean between views (renderView drains every block a lane group
  * reached), so a view pays only for the blocks it touches.  Scratches
  * are leased from ScratchPool for one (sub-)view at a time.
@@ -212,6 +178,7 @@ struct GaussianWiseRenderer::ViewScratch
     };
 
     BlendPlanes planes;  ///< the view's color/T, stride view_w; clean
+    ReachWindow reach;   ///< the current splat's block footprint
     std::vector<std::uint8_t> t_mask;
     std::vector<std::uint8_t> touched;  ///< per block: a lane group reached it
     std::vector<int> block_live;
@@ -223,7 +190,8 @@ struct GaussianWiseRenderer::ViewScratch
     std::size_t
     bytes() const
     {
-        return planes.bytes() + t_mask.capacity() + touched.capacity() +
+        return planes.bytes() + reach.bytes() + t_mask.capacity() +
+               touched.capacity() +
                block_live.capacity() * sizeof(int) +
                positions.capacity() * sizeof(std::uint32_t) +
                depths.capacity() * sizeof(float) +
@@ -414,6 +382,11 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
     static obs::Counter &exp_lanes_counter =
         obs::MetricsRegistry::global().counter("render.gw.exp_lanes");
     std::int64_t exp_lanes = 0;
+    // Blocks whose reach bit the host evaluated (window growth
+    // included): the boundary test's work, flushed the same way.
+    static obs::Counter &reach_blocks_counter =
+        obs::MetricsRegistry::global().counter("render.gw.reach_blocks");
+    std::int64_t reach_blocks = 0;
 
     // ---- Stages II-IV, group by group, near to far. ----
     auto &gsplats = scratch.gsplats;
@@ -495,11 +468,20 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
                            Vec2(static_cast<float>(view_x0),
                                 static_cast<float>(view_y0));
 
-            if (config_.conditional &&
-                conditionalLoadSkips(traversal, scratch.t_mask, local,
-                                     gs.splat.opacity,
-                                     gs.splat.radius_omega,
-                                     config_.block_size, bx_n, by_n)) {
+            // The footprint's reach bits, evaluated once: the
+            // conditional-loading decision reads them, and the
+            // traversal floods them.
+            const BlockRect load =
+                config_.conditional
+                    ? loadWindow(local, gs.splat.radius_omega,
+                                 block_size, bx_n, by_n)
+                    : BlockRect{};
+            traversal.reach(local, gs.splat.opacity, scratch.reach, load);
+            const bool skip =
+                config_.conditional && !load.empty() &&
+                !traversal.anyUnmaskedReach(scratch.reach, load, t_mask);
+            if (skip) {
+                reach_blocks += scratch.reach.evaluatedBlocks();
                 ++stats.sh_skip_invocations;
                 ++activity.sh_skipped;
                 flags[gs.pos] |= kFlagShSkip;
@@ -557,8 +539,8 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
             // touched; one nothing blended drains clean planes onto
             // zero pixels.
             const BoundaryStats bs = traversal.traverseLanes(
-                local, gs.splat.opacity, &scratch.t_mask, blend_lanes,
-                touched);
+                scratch.reach, &scratch.t_mask, blend_lanes, touched);
+            reach_blocks += scratch.reach.evaluatedBlocks();
             stats.alpha_evals += bs.alpha_evals;
             stats.visited_blocks += bs.visited_blocks;
             stats.influence_pixels += bs.influence_pixels;
@@ -578,6 +560,7 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
         stats.group_trace.push_back(activity);
     }
     exp_lanes_counter.add(exp_lanes);
+    reach_blocks_counter.add(reach_blocks);
 
     // The view's region is zero on entry (a fresh frame; Cmode
     // sub-views are disjoint), so the planes are the blended pixels,
@@ -709,8 +692,8 @@ GaussianWiseRenderer::renderViewReference(
 
             // Per-Gaussian conditional loading, scalar transcription:
             // same floor-division block window and the same decisions
-            // as the fast path's conditionalLoadSkips, expressed as
-            // the direct loop over blockReachable.
+            // as the fast path's loadWindow/anyUnmaskedReach,
+            // expressed as the direct loop over blockReachable.
             if (config_.conditional) {
                 const int r = gs.splat.radius_omega;
                 const int cxi =

@@ -26,8 +26,11 @@
  *  - render(): the fast path — one shared projection pass feeding
  *    both the Cmode spatial binning and Stage II (each Gaussian is
  *    projected once per frame instead of once for binning plus once
- *    per overlapping sub-view), a statically-dispatched block
- *    traversal whose visitor blends whole SIMD lane groups,
+ *    per overlapping sub-view), each splat's block footprint
+ *    evaluated once as a reach bitmap (render/boundary.h's
+ *    ReachWindow) that both the conditional-loading decision and the
+ *    block walk read, a statically-dispatched row-major walk of the
+ *    flooded bitmap whose visitor blends whole SIMD lane groups,
  *    exponential included, into planar per-view accumulators (see
  *    render/lane_blend.h), reused per-view scratch
  *    buffers, and — because Cmode sub-views are disjoint pixel
@@ -35,8 +38,9 @@
  *    ThreadPool with a deterministic, sub-view-ordered stat merge;
  *  - renderReference(): the direct scalar transcription the fast
  *    path is validated against (per-group projectGaussian calls,
- *    std::function traversal, fresh per-view buffers, serial
- *    sub-views).
+ *    a blockReachable loop for conditional loading, the
+ *    breadth-first std::function traversal, fresh per-view buffers,
+ *    serial sub-views).
  *
  * Both produce bit-identical images and identical GaussianWiseStats
  * (including the group trace); tests/test_gw_equivalence.cc locks

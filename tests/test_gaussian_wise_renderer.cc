@@ -252,6 +252,36 @@ TEST(GaussianWiseRenderer, ExpLanesCountTheKernelsExponentials)
     }
 }
 
+TEST(GaussianWiseRenderer, ReachBlocksCountTheBoundaryTests)
+{
+    // render.gw.reach_blocks: one per block whose reach bit Stage IV
+    // evaluated.  Every visited block was evaluated, so it is at least
+    // visited_blocks; a repeated frame adds the same count (full view
+    // and Cmode).  The stats carry no such field: the simulators never
+    // see host work.
+    GaussianCloud cloud = generateScene(test::tinyRoomSpec(), 1.0f);
+    Camera cam = makeCamera(test::tinyRoomSpec());
+    const obs::Counter &reach_blocks =
+        obs::MetricsRegistry::global().counter("render.gw.reach_blocks");
+    for (int subview : {0, 64}) {
+        SCOPED_TRACE(subview);
+        GaussianWiseConfig cfg;
+        cfg.subview_size = subview;
+        const GaussianWiseRenderer renderer(cfg);
+        GaussianWiseStats first_st, second_st;
+        const std::int64_t before = reach_blocks.value();
+        renderer.render(cloud, cam, first_st);
+        const std::int64_t first = reach_blocks.value() - before;
+        renderer.render(cloud, cam, second_st);
+        EXPECT_EQ(reach_blocks.value() - before, 2 * first);
+        ASSERT_GT(first_st.visited_blocks, 0);
+        if (GCC3D_OBS_ENABLED)
+            EXPECT_GE(first, first_st.visited_blocks);
+        else
+            EXPECT_EQ(first, 0);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Degenerate configuration: a group capacity of zero used to wedge
 // the grouping loop forever (start += 0).
