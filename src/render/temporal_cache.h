@@ -29,7 +29,10 @@
  *     (tests/test_renderer_equivalence.cc locks this in).
  *  3. Opt-in reprojection (options.every = k > 1): every k-th frame
  *     renders exactly; in-between frames are synthesized by a
- *     per-pixel depth backward warp from the last exact frame.
+ *     per-pixel depth backward warp from the last exact frame.  The
+ *     warp source is tier 2's retained frame itself plus a depth
+ *     buffer the exact raster captures on the lane group: no second
+ *     copy of the frame is kept.
  *     NOT bit-exact — the contract is perceptual, >= 40 dB PSNR vs
  *     exact rendering on every preset scene at headset step sizes
  *     (enforced by the TemporalEquivalence cases
@@ -80,12 +83,14 @@ struct TemporalOptions
     float max_warp_rotation = std::numeric_limits<float>::infinity();
 
     /**
-     * Maintain the tier-3 warp source (exact image snapshot + depth
-     * buffer) even at every == 1.  Costs the per-pixel depth capture
-     * on exact frames, but lets a caller request an on-demand
-     * synthesized frame via renderTemporal(..., force_warp = true) —
-     * the serving degradation ladder's warp tier.  Off by default so
-     * the every == 1 bit-exactness fast path stays untouched.
+     * Maintain the tier-3 warp source (the retained exact frame + its
+     * depth buffer) even at every == 1, so a caller can request an
+     * on-demand synthesized frame via renderTemporal(..., force_warp
+     * = true) — the serving degradation ladder's warp tier.  Costs a
+     * 4 B/px depth buffer and one select per blended lane group on
+     * exact frames: on bench/micro_kernels' BM_TemporalExactFrame
+     * (Palace, 8-frame arc, 4-vCPU Xeon with AVX2, min of 6 runs) an
+     * arc takes 116 ms with it and 113 ms without.  Off by default.
      */
     bool keep_exact = false;
 };
@@ -131,6 +136,15 @@ class TemporalCache
     const TemporalCounters &counters() const { return counters_; }
 
     /**
+     * Per-pixel median-surface view depth of the retained exact frame
+     * (row-major, 0 where nothing contributed), the warp source's
+     * depth.  Captured only while exact frames keep a warp source
+     * (options.every > 1 or keep_exact); renderReference(..., &depth)
+     * is its oracle.
+     */
+    const std::vector<float> &depth() const { return depth_; }
+
+    /**
      * Drop all cross-frame state and counters.  The next frame
      * renders cold; exact-mode output is unaffected by when (or
      * whether) this is called — that is the cache-state-independence
@@ -147,7 +161,6 @@ class TemporalCache
         cov_tiles_.clear();
         tile_entries_.clear();
         image_ = Image{};
-        exact_image_ = Image{};
         depth_.clear();
         depth_valid_ = false;
         warp_phase_ = 0;
@@ -166,7 +179,7 @@ class TemporalCache
     BoundingMode bounding_ = BoundingMode::Obb3Sigma;
     float termination_t_ = 0.0f, alpha_cutoff_ = 0.0f;
     std::size_t cloud_size_ = 0;
-    Camera camera_;            ///< camera of the cached exact state
+    Camera camera_;            ///< camera of the retained exact frame
 
     // ---- Tier 1: persisted binning state (previous exact frame). ----
     SplatSoA soa_;                            ///< previous SoA store (ids too)
@@ -175,16 +188,15 @@ class TemporalCache
     /** Per-tile packed (key, si) lists, ascending uint64 == cold order. */
     std::vector<std::vector<std::uint64_t>> tile_entries_;
 
-    // ---- Tier 2: previous composited output. ----
+    // ---- Tier 2: previous composited output (only exact frames
+    // write it, so it is also tier 3's warp source). ----
     Image image_;
 
-    // ---- Tier 3: warp source (last exact frame when every > 1). ----
-    bool exact_valid_ = false;
-    Camera exact_camera_;
-    Image exact_image_;
-    /** Per-pixel median-surface view depth of the exact frame (0 where
-     *  nothing contributed).  Captured during exact rasterization when
-     *  every > 1; the warp lifts each pixel at this depth. */
+    // ---- Tier 3: warp source = image_ at camera_, plus depth_. ----
+    bool exact_valid_ = false;  ///< image_/camera_/depth_ may be warped
+    /** Per-pixel median-surface view depth of image_ (0 where nothing
+     *  contributed).  Captured during exact rasterization when every
+     *  > 1 or keep_exact; the warp lifts each pixel at this depth. */
     std::vector<float> depth_;
     bool depth_valid_ = false;
     int warp_phase_ = 0;             ///< frames left before next exact

@@ -98,6 +98,7 @@ constexpr int kSub = 8;
 struct TileScratch
 {
     BlendPlanes planes;          ///< the tile's color/T, stride tile_size
+    std::vector<float> depth;    ///< the tile's captured depth, same layout
     std::vector<int> sub_live;   ///< live-pixel counts per 8x8 subtile
     std::vector<int> row_live;   ///< live-pixel counts per tile row
 };
@@ -113,23 +114,24 @@ struct TileScratch
  * lane the scalar reference's op sequence at its own pixel (the
  * exponential is simd::expExact, std::exp bit for bit; builds
  * without its vector form call std::exp per live lane).  Color and T
- * accumulate in the scratch planes and are written to @p image once,
- * after the last splat.  The write-back assigns, so the tile's pixels
- * in @p image must be zero on entry (cold frames start from a zeroed
- * image; incremental frames clear a dirty tile's block before
- * calling) — then the assigned sum is bit-identical to blending into
- * the image in place.  Writes stay
- * inside the tile's pixel region, so disjoint tiles rasterize
- * concurrently.
+ * accumulate in the scratch planes and are assigned to the whole tile
+ * rect of @p image once, after the last splat, so the kernel never
+ * reads the image: starting from color 0, the assigned sum is
+ * bit-identical to blending into a zeroed image in place, whatever
+ * the image held.  Writes stay inside the tile's pixel region, so
+ * disjoint tiles rasterize concurrently.
  *
  * When @p depth_out is non-null (with @p splat_depth supplying the
- * per-slot view depths), the kernel also records a per-pixel surface
+ * per-slot view depths), the kernel also captures a per-pixel surface
  * depth for the reprojection warp: the depth of the splat that first
  * drags the pixel's transmittance below one half — the pixel's median
  * surface — falling back to the first contributor for pixels that
- * never get that opaque.  The tile's depth_out block must be zero on
- * entry, like the pixels.  Blending math and stats are untouched, so
- * bit-identity with the depth-less call is preserved.
+ * never get that opaque (0 where nothing contributed).  The capture
+ * runs on the lane group, one select per blended group into a
+ * tile-local depth plane laid out like the color planes, which is
+ * assigned to the tile rect of @p depth_out with the colors.
+ * Blending math and stats are untouched, so bit-identity with the
+ * depth-less call is preserved.
  */
 void
 rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
@@ -150,6 +152,12 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
     int live = (x1 - x0) * (y1 - y0);
     BlendPlanes &planes = scratch.planes;
     planes.reset(static_cast<std::size_t>(tile) * tile);
+    const bool capture = depth_out != nullptr;
+    if (capture)
+        scratch.depth.assign(static_cast<std::size_t>(tile) * tile +
+                                 simd::kWidth,
+                             0.0f);
+    float *const depth_plane = scratch.depth.data();
 
     // Per-subtile live-pixel counts (8x8 granularity): the VRU
     // processes one subtile per array pass in lockstep.  Per-row
@@ -261,18 +269,17 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
                 const simd::FloatV t_new =
                     planes.blend(off, bits, t, a, rv, gv, bv);
                 splat_blends += std::popcount(bits);
-                if (depth_out != nullptr) {
-                    float t_prev[simd::kWidth], t_next[simd::kWidth];
-                    t.store(t_prev);
-                    t_new.store(t_next);
-                    float *drow =
-                        depth_out + static_cast<std::size_t>(y) * width + x;
-                    for (unsigned d = bits; d != 0; d &= d - 1) {
-                        const int i = std::countr_zero(d);
-                        if (drow[i] == 0.0f ||
-                            (t_prev[i] >= 0.5f && t_next[i] < 0.5f))
-                            drow[i] = splat_depth[si];
-                    }
+                if (capture) {
+                    // Scalar `d == 0 || (t >= 0.5 && t_new < 0.5) ->
+                    // d = depth` on the blended lanes.
+                    const simd::FloatV d =
+                        simd::FloatV::load(depth_plane + off);
+                    const simd::MaskV take =
+                        simd::MaskV::fromBits(bits) &
+                        ((d == simd::FloatV(0.0f)) |
+                         ((t >= half_v) & (t_new < half_v)));
+                    simd::select(take, simd::FloatV(splat_depth[si]), d)
+                        .store(depth_plane + off);
                 }
                 // Only lanes crossing termination touch the counts.
                 for (unsigned d = bits & (t_new < term_v).bits(); d != 0;
@@ -297,6 +304,12 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
     exp_lanes_counter.add(exp_lanes);
 
     planes.writeBack(image, x0, y0, x1 - x0, y1 - y0, tile);
+    if (capture) {
+        for (int y = y0; y < y1; ++y)
+            std::copy_n(depth_plane + static_cast<std::size_t>(y - y0) * tile,
+                        x1 - x0,
+                        depth_out + static_cast<std::size_t>(y) * width + x0);
+    }
 }
 
 // ---- Frame stages (tile_renderer.h names who runs which). ----
@@ -433,8 +446,9 @@ enum class RasterMode
      *  is in splat order: each list is depth-sorted in its chunk. */
     Cold,
     /** Every list is already depth-sorted and the target holds last
-     *  frame's pixels: each listed tile's pixel and depth block is
-     *  cleared first, including tiles whose list is now empty. */
+     *  frame's pixels: a listed tile whose list is now empty has its
+     *  pixel and depth block cleared (the others are assigned whole
+     *  by rasterOneTile). */
     Incremental,
 };
 
@@ -496,23 +510,24 @@ raster(const TileRendererConfig &config, const SplatSoA &soa,
             const std::uint32_t t_idx = tiles[i];
             const int bx = static_cast<int>(t_idx % grid.tiles_x);
             const int by = static_cast<int>(t_idx / grid.tiles_x);
-            if (mode == RasterMode::Incremental) {
-                const int x0 = bx * tile;
-                const int y0 = by * tile;
-                const int x1 = std::min(x0 + tile, grid.width);
-                const int y1 = std::min(y0 + tile, grid.height);
-                for (int y = y0; y < y1; ++y) {
-                    const std::size_t row =
-                        static_cast<std::size_t>(y) * grid.width + x0;
-                    std::fill_n(image.pixels().data() + row, x1 - x0,
-                                Vec3(0, 0, 0));
-                    if (depth_out != nullptr)
-                        std::fill_n(depth_out + row, x1 - x0, 0.0f);
-                }
-            }
             const std::span<std::uint64_t> list = entries_of(t_idx);
-            if (list.empty())
+            if (list.empty()) {
+                if (mode == RasterMode::Incremental) {
+                    const int x0 = bx * tile;
+                    const int y0 = by * tile;
+                    const int x1 = std::min(x0 + tile, grid.width);
+                    const int y1 = std::min(y0 + tile, grid.height);
+                    for (int y = y0; y < y1; ++y) {
+                        const std::size_t row =
+                            static_cast<std::size_t>(y) * grid.width + x0;
+                        std::fill_n(image.pixels().data() + row, x1 - x0,
+                                    Vec3(0, 0, 0));
+                        if (depth_out != nullptr)
+                            std::fill_n(depth_out + row, x1 - x0, 0.0f);
+                    }
+                }
                 continue;
+            }
 
             if (mode == RasterMode::Cold) {
                 // Per-tile depth sort (radix sort on the GPU, bitonic
@@ -661,7 +676,7 @@ TileRenderer::render(const CloudView &view, const Camera &cam,
     return image;
 }
 
-Image
+const Image &
 TileRenderer::renderTemporal(const CloudView &view,
                              const Camera &cam,
                              StandardFlowStats &stats,
@@ -708,7 +723,7 @@ TileRenderer::renderTemporal(const CloudView &view,
     if (cache.exact_valid_ &&
         (force_warp ||
          (cache.options.every > 1 && cache.warp_phase_ > 0))) {
-        const CameraDelta d = cameraDelta(cache.exact_camera_, cam);
+        const CameraDelta d = cameraDelta(cache.camera_, cam);
         if (d.translation <= cache.options.max_warp_translation &&
             d.rotation_rad <= cache.options.max_warp_rotation) {
             if (cache.warp_cached_ &&
@@ -716,21 +731,18 @@ TileRenderer::renderTemporal(const CloudView &view,
                 ++tc.copied_frames;
                 return cache.warp_image_;
             }
-            Image out;
             {
                 obs::PerfScope warp_scope(obs::Stage::Warp,
                                           &stats.stage.warp_ms);
-                out = warpFromExact(cache.exact_camera_,
-                                    cache.exact_image_,
-                                    cache.depth_, cam);
+                cache.warp_image_ = warpFromExact(cache.camera_, cache.image_,
+                                                  cache.depth_, cam);
             }
             ++tc.warped_frames;
             if (cache.warp_phase_ > 0)
                 --cache.warp_phase_;
             cache.warp_cached_ = true;
             cache.warp_camera_ = cam;
-            cache.warp_image_ = out;
-            return out;
+            return cache.warp_image_;
         }
         // Camera moved past the trust region: render exactly below,
         // which also resets the warp cadence.
@@ -752,6 +764,7 @@ TileRenderer::renderTemporal(const CloudView &view,
     // Warp mode additionally maintains the per-pixel depth buffer the
     // reprojection samples; clean tiles keep last frame's depths, so
     // the incremental path also requires a valid buffer to inherit.
+    // The retained frame (image_, camera_, depth_) is the warp source.
     const bool want_depth =
         cache.options.every > 1 || cache.options.keep_exact;
 
@@ -761,6 +774,11 @@ TileRenderer::renderTemporal(const CloudView &view,
     // inside the temporal path.
     const bool incremental = cache.valid_ && cache.soa_.id == soa.id &&
                              (!want_depth || cache.depth_valid_);
+    // The retained state is rewritten from here on; it is marked
+    // valid again only once this frame completes, so a frame that
+    // throws leaves a cache whose next frame renders cold.
+    cache.valid_ = false;
+    cache.exact_valid_ = false;
     TileBins bins;
     std::vector<std::uint32_t> dirty_tiles;
     if (!incremental) {
@@ -940,12 +958,10 @@ TileRenderer::renderTemporal(const CloudView &view,
     cache.cov_tiles_ = std::move(cov.tiles);
     cache.depth_valid_ = want_depth;
 
-    if (cache.options.every > 1 || cache.options.keep_exact) {
-        // Warp-source snapshot: this exact frame anchors the next
+    if (want_depth) {
+        // This exact frame, retained in place, anchors the next
         // every-1 synthesized frames (or on-demand force_warp ones).
         cache.exact_valid_ = true;
-        cache.exact_camera_ = cam;
-        cache.exact_image_ = cache.image_;
         cache.warp_phase_ = std::max(0, cache.options.every - 1);
         cache.warp_cached_ = false;
     }
@@ -954,8 +970,8 @@ TileRenderer::renderTemporal(const CloudView &view,
 
 Image
 TileRenderer::renderReference(const GaussianCloud &cloud,
-                              const Camera &cam,
-                              StandardFlowStats &stats) const
+                              const Camera &cam, StandardFlowStats &stats,
+                              std::vector<float> *depth) const
 {
     const int width = cam.width();
     const int height = cam.height();
@@ -998,6 +1014,8 @@ TileRenderer::renderReference(const GaussianCloud &cloud,
 
     // ---- Stage 2: render tile by tile in scanline order. ----
     Image image(width, height);
+    if (depth != nullptr)
+        depth->assign(static_cast<std::size_t>(width) * height, 0.0f);
     std::vector<float> tile_t(static_cast<std::size_t>(tile) * tile);
     std::vector<std::uint8_t> contributed(splats.size(), 0);
     std::vector<std::uint8_t> fetched(splats.size(), 0);
@@ -1084,7 +1102,15 @@ TileRenderer::renderReference(const GaussianCloud &cloud,
                             ++stats.rendered_gaussians;
                         }
                         image.at(x, y) += s.color * (a * t);
+                        const float t_prev = t;
                         t *= 1.0f - a;
+                        if (depth != nullptr) {
+                            // Median surface, else first contributor.
+                            float &d = (*depth)[static_cast<std::size_t>(y) *
+                                                    width + x];
+                            if (d == 0.0f || (t_prev >= 0.5f && t < 0.5f))
+                                d = s.depth;
+                        }
                         if (t < config_.termination_t) {
                             --live;
                             --sub_live[((y - y0) / kSub) * sub_n +

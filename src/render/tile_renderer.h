@@ -127,11 +127,12 @@ class TileRenderer
      * for the tier breakdown and ownership rules).  With
      * cache.options.every == 1 the output is bit-identical to
      * render() of the same (cloud, cam) no matter what the cache
-     * held — unchanged tiles copy last frame's composited pixels, a
-     * bit-equal camera copies the whole frame, and any scene/config
-     * change falls back to a full rebuild.  With every == k > 1,
-     * only every k-th frame renders exactly; frames in between are
-     * synthesized by per-tile reprojection from the last exact frame
+     * held — unchanged tiles keep last frame's composited pixels, a
+     * bit-equal camera serves the retained frame as is, and any
+     * scene/config change falls back to a full rebuild.  With every
+     * == k > 1, only every k-th frame renders exactly; frames in
+     * between are synthesized by per-pixel depth reprojection from
+     * the last exact frame, which the cache retains in place
      * (>= 40 dB PSNR contract, bench-enforced).
      *
      * Stats semantics: the flow counters report the work actually
@@ -153,11 +154,18 @@ class TileRenderer
      * or the camera left the trust region, the frame renders exactly
      * instead — callers detect which path served the frame via
      * cache.counters().warped_frames.
+     *
+     * Returns the frame held by @p cache — the retained exact frame
+     * (which is also the warp source) or the last synthesized one —
+     * without copying it.  The reference stays valid until the next
+     * renderTemporal() or reset() on the same cache; copy it to keep
+     * the frame longer.
      */
-    Image renderTemporal(const CloudView &view, const Camera &cam,
-                         StandardFlowStats &stats, TemporalCache &cache,
-                         ThreadPool *pool = nullptr,
-                         bool force_warp = false) const;
+    const Image &renderTemporal(const CloudView &view, const Camera &cam,
+                                StandardFlowStats &stats,
+                                TemporalCache &cache,
+                                ThreadPool *pool = nullptr,
+                                bool force_warp = false) const;
 
     /**
      * Render a frame through the retained reference implementation
@@ -165,9 +173,16 @@ class TileRenderer
      * full-tile pixel sweeps).  Used by the equivalence tests and the
      * frame-throughput benchmark as the speedup baseline; produces
      * bit-identical images and stats to render().
+     *
+     * A non-null @p depth receives the per-pixel depth the temporal
+     * warp source captures (row-major, 0 where nothing contributed):
+     * in blend order, a splat's depth is stored when the pixel has
+     * none yet or when the splat drags its transmittance from >= 0.5
+     * to < 0.5 — the oracle of renderTemporal()'s lane-group capture.
      */
     Image renderReference(const GaussianCloud &cloud, const Camera &cam,
-                          StandardFlowStats &stats) const;
+                          StandardFlowStats &stats,
+                          std::vector<float> *depth = nullptr) const;
 
     /**
      * Tile coverage only: returns the number of tiles each splat maps

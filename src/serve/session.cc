@@ -84,7 +84,7 @@ Session::Session(SessionConfig config, SceneHandle scene)
         throw std::invalid_argument("LOD cut tau/bias out of range");
     // A temporal cache exists when temporal streaming is requested,
     // or when the degradation ladder needs a warp source (keep_exact
-    // maintains the exact snapshot + depth buffer at every == 1).
+    // captures the retained exact frame's depth at every == 1).
     const bool wants_cache =
         (config_.temporal >= 1 || config_.degrade) &&
         config_.renderer == SessionRenderer::Tile && !scene_.lod;
@@ -138,18 +138,20 @@ Session::renderCut(const LodCutParams &cut_params, const Camera &render_cam,
         }
     }
     const CloudView view = scene_.lod && tile ? cut.view : CloudView(*cloud);
-    Image image;
+    // A temporal frame is checksummed where its cache holds it.
+    double checksum = 0.0;
     StageTimes stage;
     if (tile) {
         StandardFlowStats stats;
-        image = temporal ? tile_.renderTemporal(view, render_cam, stats,
-                                                *temporal_, nullptr,
-                                                force_warp)
-                         : tile_.render(view, render_cam, stats);
+        checksum = temporal
+                       ? imageChecksum(tile_.renderTemporal(
+                             view, render_cam, stats, *temporal_, nullptr,
+                             force_warp))
+                       : imageChecksum(tile_.render(view, render_cam, stats));
         stage = stats.stage;
     } else {
         GaussianWiseStats stats;
-        image = gw_.render(*cloud, render_cam, stats);
+        checksum = imageChecksum(gw_.render(*cloud, render_cam, stats));
         stage = stats.stage;
     }
     if (cost != nullptr) {
@@ -159,7 +161,7 @@ Session::renderCut(const LodCutParams &cut_params, const Camera &render_cam,
         cost->warp_ms = stage.warp_ms;
         cost->decode_ms = decode_ms;
     }
-    return imageChecksum(image);
+    return checksum;
 }
 
 bool

@@ -105,8 +105,9 @@ TEST(BlockTraversal, CoversSameInfluencePixels)
     EXPECT_EQ(found, expect);
     EXPECT_GT(st.visited_blocks, 0);
     EXPECT_GE(st.visited_blocks, st.active_blocks);
-    // Evaluations happen in whole blocks of 64 (interior blocks).
-    EXPECT_EQ(st.alpha_evals % 1, 0);
+    // 128x96 tiles into whole 8-px blocks, so every visited block
+    // evaluates all 64 of its pixels.
+    EXPECT_EQ(st.alpha_evals, 64 * st.visited_blocks);
     EXPECT_GE(st.alpha_evals,
               static_cast<std::int64_t>(expect.size()));
 }

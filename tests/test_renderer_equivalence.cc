@@ -603,6 +603,177 @@ TEST(TemporalEquivalence, KeepExactDepthCaptureIsExact)
     EXPECT_EQ(hash, 0xdea34bc1580ad2a0ull);
 }
 
+/** Bitwise float-vector comparison, reporting the first diff. */
+::testing::AssertionResult
+depthsBitIdentical(const std::vector<float> &a, const std::vector<float> &b)
+{
+    if (a.size() != b.size())
+        return ::testing::AssertionFailure()
+               << "size " << a.size() << " vs " << b.size();
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0)
+            return ::testing::AssertionFailure()
+                   << "first differing pixel " << i << ": " << a[i]
+                   << " vs " << b[i];
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/**
+ * Replay @p stream through a keep_exact cache, then render its last
+ * pose through the same cache at another tile size (a snapshot
+ * invalidation), checking after every frame that the retained image
+ * and captured depth equal renderReference()'s bit for bit.  Returns
+ * the incremental frames the replay rendered.
+ */
+std::int64_t
+replayAgainstReferenceDepth(const TileRendererConfig &cfg,
+                            const GaussianCloud &cloud,
+                            const Trajectory &stream, ThreadPool *pool)
+{
+    TileRendererConfig other = cfg;
+    other.tile_size = cfg.tile_size == 64 ? 8 : 64;
+    TemporalCache cache;
+    cache.options.keep_exact = true;
+    const std::size_t n = stream.frameCount();
+    for (std::size_t f = 0; f <= n; ++f) {
+        SCOPED_TRACE(::testing::Message()
+                     << (f < n ? "frame " : "invalidated, frame ")
+                     << std::min(f, n - 1));
+        const TileRenderer renderer(f < n ? cfg : other);
+        const Camera &cam = stream.frame(std::min(f, n - 1));
+        StandardFlowStats st, st_ref;
+        const std::int64_t rebuilds = cache.counters().full_rebuilds;
+        const Image &img = renderer.renderTemporal(cloud, cam, st, cache, pool);
+        std::vector<float> depth;
+        const Image ref = renderer.renderReference(cloud, cam, st_ref, &depth);
+        EXPECT_TRUE(imagesBitIdentical(ref, img));
+        EXPECT_TRUE(depthsBitIdentical(depth, cache.depth()));
+        if (f == n) {
+            EXPECT_EQ(cache.counters().full_rebuilds, rebuilds + 1);
+        }
+    }
+    return cache.counters().incremental_frames;
+}
+
+/**
+ * Two Gaussians on the axis of a camera whose viewport has odd sides,
+ * so the front one's center lands on a pixel center: there it blends
+ * alpha = opacity 0.5 exactly and leaves T == 0.5 for the one behind
+ * — the boundary of the median-surface rule.
+ */
+GaussianCloud
+halfAlphaCloud()
+{
+    GaussianCloud cloud;
+    cloud.add(test::makeGaussian(Vec3(0, 0, 0), 0.1f, 0.5f));
+    cloud.add(test::makeGaussian(Vec3(0, 0, 1), 0.3f, 0.8f));
+    return cloud;
+}
+
+TEST(TemporalEquivalence, DepthCaptureMatchesReference)
+{
+    // The warp source's depth is captured on the lane group of the
+    // exact raster (one select per blended group into a tile-local
+    // plane).  Every pixel's depth must equal the scalar rule of
+    // renderReference — first contributor, replaced by the splat that
+    // takes T from >= 0.5 to < 0.5 — on cold, incremental and
+    // post-invalidation frames: ragged tiles and 1x1 / 37x23 /
+    // half-resolution preset viewports, a camera inside the cloud,
+    // termination T of 1e-7 (lanes never retire) and above 1
+    // (nothing blends), and 1, 2 and 8 workers.
+    ThreadPool pool2(2), pool8(8);
+    std::int64_t incremental = 0;
+
+    // T == 0.5 exactly before a blend: the `>=` side of the rule.
+    for (auto [w, h] : {std::pair{1, 1}, std::pair{37, 23}}) {
+        Camera cam(w, h, 0.9f);
+        cam.lookAt(Vec3(0, 0, -4), Vec3(0, 0, 0));
+        Trajectory still;
+        still.add(cam);
+        TileRendererConfig cfg;
+        StandardFlowStats st;
+        std::vector<float> depth;
+        (void)TileRenderer(cfg).renderReference(halfAlphaCloud(), cam, st,
+                                                &depth);
+        const std::size_t center =
+            static_cast<std::size_t>(h / 2) * w + w / 2;
+        ASSERT_FLOAT_EQ(depth[center], 5.0f) << w << "x" << h;
+        for (int tile : {8, 12, 64}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "half alpha " << w << "x" << h << ", tile "
+                         << tile);
+            cfg.tile_size = tile;
+            replayAgainstReferenceDepth(cfg, halfAlphaCloud(), still,
+                                        nullptr);
+        }
+    }
+
+    // Generated clouds through ragged viewports and tiles.
+    for (auto [w, h] : {std::pair{1, 1}, std::pair{37, 23}}) {
+        const SceneSpec spec = test::viewportSpec(w, h);
+        const GaussianCloud cloud = test::clampedScene(spec);
+        const Trajectory stream = heldStream(spec, 4, 0.01f, 1);
+        for (int tile : {8, 12, 24, 64}) {
+            for (float term : {1e-4f, 0.5f, 1e-7f, 1.5f}) {
+                SCOPED_TRACE(::testing::Message()
+                             << w << "x" << h << ", tile " << tile
+                             << ", termination " << term);
+                TileRendererConfig cfg;
+                cfg.tile_size = tile;
+                cfg.termination_t = term;
+                incremental +=
+                    replayAgainstReferenceDepth(cfg, cloud, stream, nullptr);
+            }
+        }
+    }
+
+    // A denser room scene at every worker count, and from a camera
+    // inside the cloud (near-plane culling, splats filling the view).
+    {
+        const SceneSpec spec = test::tinyRoomSpec(53, 3000);
+        const GaussianCloud cloud = generateScene(spec, 1.0f);
+        Trajectory inside;
+        for (int i = 0; i < 4; ++i) {
+            Camera cam(spec.image_width, spec.image_height, spec.fov_x);
+            const float s = 0.002f * static_cast<float>(i);
+            cam.lookAt(Vec3(s, 0.1f, s), Vec3(0.3f + s, 0.1f, 1.0f));
+            inside.add(cam);
+        }
+        const Trajectory stream = heldStream(spec, 4, 0.01f, 1);
+        for (auto [workers, tile] :
+             {std::pair{1, 16}, std::pair{2, 24}, std::pair{8, 16}}) {
+            ThreadPool *p = workers == 1 ? nullptr
+                            : workers == 2 ? &pool2
+                                           : &pool8;
+            SCOPED_TRACE(::testing::Message()
+                         << "room, workers " << workers << ", tile "
+                         << tile);
+            TileRendererConfig cfg;
+            cfg.tile_size = tile;
+            incremental +=
+                replayAgainstReferenceDepth(cfg, cloud, stream, p);
+            incremental +=
+                replayAgainstReferenceDepth(cfg, cloud, inside, p);
+        }
+    }
+
+    // Preset scenes at half resolution (the serving ladder's half-res
+    // tier viewport).
+    for (SceneId id : {SceneId::Lego, SceneId::Train}) {
+        const SceneSpec spec = scenePreset(id);
+        const GaussianCloud cloud = generateScene(spec, 0.002f);
+        const Trajectory path = Trajectory::forSceneArc(spec, 3, 0.001f);
+        Trajectory half;
+        for (const Camera &cam : path.frames())
+            half.add(cam.scaledResolution(0.5f));
+        SCOPED_TRACE(sceneName(id));
+        TileRendererConfig cfg;
+        incremental += replayAgainstReferenceDepth(cfg, cloud, half, &pool2);
+    }
+    EXPECT_GT(incremental, 0);
+}
+
 TEST(TemporalEquivalence, ForcedWarpTierHolds40DbOnPreset)
 {
     // The serving ladder's Warp tier reprojects the frame a keep_exact
