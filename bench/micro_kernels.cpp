@@ -9,8 +9,8 @@
  * of the cycle models and catch performance regressions.
  *
  * Exp outcome on this codebase: ExpLut exists to model the GCC Alpha
- * Unit's fixed-point datapath and is used only by core/alpha_unit
- * (cycle sim); no host-side render hot path consumes it.  Both raster
+ * Unit's fixed-point datapath (the cycle sim charges its latency but
+ * evaluates no alpha); no host-side render hot path consumes it.  Both raster
  * kernels evaluate exp through simd::expExact, which is std::exp bit
  * for bit: with AVX2, FMA and glibc it runs glibc's expf eight lanes
  * at a time, elsewhere it calls std::exp per lane.  The BM_Exp* trio

@@ -19,7 +19,6 @@
 #include <cstdint>
 
 #include "core/gcc_config.h"
-#include "gsmath/exp_lut.h"
 
 namespace gcc3d {
 
@@ -49,12 +48,8 @@ class AlphaUnit
      */
     AlphaCost batch(std::uint64_t gaussians, std::uint64_t blocks) const;
 
-    /** The EXP approximator shared by the functional model. */
-    const ExpLut &expLut() const { return lut_; }
-
   private:
     const GccConfig *config_;
-    ExpLut lut_;
 };
 
 } // namespace gcc3d

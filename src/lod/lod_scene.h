@@ -10,7 +10,7 @@
  * the camera, a proxy level otherwise.  It is a list of borrowed
  * spans in chunk order — proxies point into the always-resident
  * pyramid, leaves into decoded chunks the cut pins for its lifetime —
- * that the tile renderer reads directly, so no Gaussian is copied.
+ * that both renderers read directly, so no Gaussian is copied.
  * Level-0 chunks fault their leaves in through the residency cache,
  * cached leaves first so that a cut larger than the budget does not
  * evict the leaves it is about to reuse; a pinned leaf evicted while
@@ -22,7 +22,7 @@
  * keep their chunk order.  The cull trusts each chunk's directory
  * AABB to bound its Gaussians' means, as every file the LOD builder
  * writes does.  buildCut() copies a cut into a GaussianCloud for
- * callers that need one (the Gaussian-wise renderer, tests).
+ * callers that need an owning cloud (tests, the lod_stream bench).
  *
  * The cut depends only on the camera and the cut parameters — never
  * on cache state (over-budget chunks load transiently rather than

@@ -244,7 +244,6 @@ class BlockTraversal
 
     int blocksX() const { return blocks_x_; }
     int blocksY() const { return blocks_y_; }
-    int blockSize() const { return block_size_; }
 
     /**
      * Visitor invoked once per visited block that contains at least

@@ -149,13 +149,27 @@ groupByDepth(const std::vector<float> &depths,
     return groups;
 }
 
+/**
+ * Stage I's output: the Gaussians that pass the depth-pivot cull, in
+ * view order, with their view depths.  A candidate's position stands
+ * in for its Gaussian id: positions keep the view order, so every
+ * tie-break by position orders as the reference's tie-break by id.
+ */
+struct GaussianWiseRenderer::Candidates
+{
+    std::vector<const Gaussian *> gaussians;
+    std::vector<float> depths;
+
+    std::size_t size() const { return gaussians.size(); }
+};
+
 /** Pre-projected splats shared between Cmode binning and Stage II. */
 struct GaussianWiseRenderer::SplatCache
 {
     static constexpr std::uint32_t kNone = 0xffffffffu;
 
-    std::vector<Splat> splats;              ///< compacted cull survivors
-    std::vector<std::uint32_t> index_of_id; ///< id -> splats index / kNone
+    std::vector<Splat> splats;           ///< compacted cull survivors
+    std::vector<std::uint32_t> index_of; ///< candidate -> splats index / kNone
 };
 
 /**
@@ -172,9 +186,8 @@ struct GaussianWiseRenderer::ViewScratch
 {
     struct GroupSplat
     {
-        Splat splat;
-        std::uint32_t id;   ///< Gaussian id (sort tie-break)
-        std::uint32_t pos;  ///< candidate position (flag slot)
+        Splat splat;        ///< splat.id is the candidate position
+        std::uint32_t pos;  ///< position in the view (flag slot, tie-break)
     };
 
     BlendPlanes planes;  ///< the view's color/T, stride view_w; clean
@@ -329,23 +342,135 @@ GaussianWiseRenderer::peakScratchLeases()
     return ScratchPool::global().peakLeases();
 }
 
+GaussianWiseRenderer::Candidates
+GaussianWiseRenderer::cullByDepth(const CloudView &view, const Camera &cam,
+                                  ThreadPool *pool) const
+{
+    // Chunks gather their Gaussians' pointers, run the SIMD z pass
+    // over them (bit-identical per element to the scalar
+    // worldToView) and compact the pivot survivors in place.
+    std::vector<Candidates> chunks;
+    forEachChunk(
+        pool, view.size(), 4096,
+        [&](std::size_t c, std::size_t begin, std::size_t end) {
+            Candidates &out = chunks[c];
+            out.gaussians.reserve(end - begin);
+            view.forRange(begin, end, [&](std::size_t, const Gaussian &g) {
+                out.gaussians.push_back(&g);
+            });
+            out.depths.resize(end - begin);
+            viewDepthsZ(out.gaussians.data(), end - begin, cam,
+                        out.depths.data());
+            std::size_t kept = 0;
+            for (std::size_t i = 0; i < end - begin; ++i) {
+                if (out.depths[i] < config_.depth_pivot)
+                    continue;
+                out.gaussians[kept] = out.gaussians[i];
+                out.depths[kept++] = out.depths[i];
+            }
+            out.gaussians.resize(kept);
+            out.depths.resize(kept);
+        },
+        [&](std::size_t chunk_count) { chunks.resize(chunk_count); });
+
+    if (chunks.size() == 1)
+        return std::move(chunks.front());
+    Candidates cand;
+    for (const Candidates &c : chunks) {
+        cand.gaussians.insert(cand.gaussians.end(), c.gaussians.begin(),
+                              c.gaussians.end());
+        cand.depths.insert(cand.depths.end(), c.depths.begin(),
+                           c.depths.end());
+    }
+    return cand;
+}
+
+std::vector<std::vector<std::uint32_t>>
+GaussianWiseRenderer::projectAndBin(const Candidates &cand,
+                                    const Camera &cam, int sub, int sx,
+                                    int sy, ThreadPool *pool,
+                                    SplatCache &cache,
+                                    GaussianWiseStats &stats,
+                                    obs::StageTimer &stage_timer)
+{
+    const std::size_t num_subviews = static_cast<std::size_t>(sx) * sy;
+    struct BinChunk
+    {
+        std::vector<Splat> splats;
+        std::vector<std::vector<std::uint32_t>> bins;
+    };
+    std::vector<BinChunk> chunks;
+    forEachChunk(
+        pool, cand.size(), 1024,
+        [&](std::size_t c, std::size_t begin, std::size_t end) {
+            BinChunk &out = chunks[c];
+            out.bins.resize(num_subviews);
+            for (std::size_t i = begin; i < end; ++i) {
+                const std::uint32_t pos = static_cast<std::uint32_t>(i);
+                const Gaussian &g = *cand.gaussians[pos];
+                auto s = projectGaussian(g, pos, cam, nullptr);
+                if (!s)
+                    continue;
+                PixelRect box =
+                    aabbFromRadius(s->ellipse.center, s->radius_omega)
+                        .clipped(cam.width(), cam.height());
+                if (box.empty())
+                    continue;
+                // SH evaluated once here, shared by every sub-view
+                // the Gaussian is binned into (identical value to a
+                // per-invocation shColorFor call).
+                s->color = shColorFor(g, cam);
+                out.splats.push_back(*s);
+                for (int by = box.y0 / sub; by <= box.y1 / sub; ++by)
+                    for (int bx = box.x0 / sub; bx <= box.x1 / sub; ++bx)
+                        out.bins[static_cast<std::size_t>(by) * sx + bx]
+                            .push_back(pos);
+            }
+        },
+        [&](std::size_t chunk_count) { chunks.resize(chunk_count); });
+    stage_timer.lap(obs::Stage::Preprocess, &stats.stage.preprocess_ms);
+
+    // Chunk-ordered merge: bins stay sorted by position, exactly as a
+    // serial pass would build them.
+    cache.index_of.assign(cand.size(), SplatCache::kNone);
+    std::vector<std::vector<std::uint32_t>> bins(num_subviews);
+    for (BinChunk &c : chunks) {
+        for (Splat &s : c.splats) {
+            cache.index_of[s.id] =
+                static_cast<std::uint32_t>(cache.splats.size());
+            cache.splats.push_back(s);
+        }
+        for (std::size_t b = 0; b < num_subviews; ++b)
+            bins[b].insert(bins[b].end(), c.bins[b].begin(),
+                           c.bins[b].end());
+    }
+    chunks.clear();
+    chunks.shrink_to_fit();
+    for (const auto &bin : bins)
+        stats.bin_records += static_cast<std::int64_t>(bin.size());
+    stage_timer.lap(obs::Stage::Binning, &stats.stage.binning_ms);
+    return bins;
+}
+
 void
-GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
-                                 const Camera &cam,
-                                 const std::vector<std::uint32_t> &candidates,
-                                 const std::vector<float> &depths,
-                                 const SplatCache *cache, int view_x0,
-                                 int view_y0, int view_w, int view_h,
-                                 Image &image, GaussianWiseStats &stats,
+GaussianWiseRenderer::renderView(const Candidates &cand,
+                                 const std::vector<std::uint32_t> &members,
+                                 const SplatCache *cache, const Camera &cam,
+                                 int view_x0, int view_y0, int view_w,
+                                 int view_h, Image &image,
+                                 GaussianWiseStats &stats,
                                  std::vector<std::uint8_t> &flags,
                                  ViewScratch &scratch) const
 {
-    // ---- Stage I: grouping over candidate positions (the caller has
-    // already applied the depth-pivot cull). ----
-    scratch.positions.resize(candidates.size());
+    // ---- Stage I: grouping over the view's members (the depth
+    // stage has already applied the pivot cull). ----
+    scratch.depths.resize(members.size());
+    for (std::size_t i = 0; i < members.size(); ++i)
+        scratch.depths[i] = cand.depths[members[i]];
+    scratch.positions.resize(members.size());
     std::iota(scratch.positions.begin(), scratch.positions.end(), 0u);
-    std::vector<DepthGroup> groups =
-        groupByDepth(depths, scratch.positions, config_.group_capacity);
+    std::vector<DepthGroup> groups = groupByDepth(
+        scratch.depths, scratch.positions, config_.group_capacity);
     stats.groups += static_cast<std::int64_t>(groups.size());
 
     // ---- Per-(sub)view pixel and block state. ----
@@ -414,25 +539,25 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
         // counts as Stage II work (hardware re-projects per sub-view).
         gsplats.clear();
         for (std::uint32_t pos : group.members) {
-            const std::uint32_t id = candidates[pos];
+            const std::uint32_t c = members[pos];
             ++stats.stage2_invocations;
             ++activity.projected;
             flags[pos] |= kFlagProjected;
             if (cache != nullptr) {
-                const Splat &s =
-                    cache->splats[cache->index_of_id[id]];
+                const Splat &s = cache->splats[cache->index_of[c]];
                 ++stats.survivor_invocations;
                 ++activity.survivors;
                 flags[pos] |= kFlagSurvived;
-                gsplats.push_back({s, id, pos});
+                gsplats.push_back({s, pos});
             } else {
-                auto s = projectGaussian(cloud[id], id, cam, nullptr);
+                auto s = projectGaussian(*cand.gaussians[c], c, cam,
+                                         nullptr);
                 if (!s)
                     continue;
                 ++stats.survivor_invocations;
                 ++activity.survivors;
                 flags[pos] |= kFlagSurvived;
-                gsplats.push_back({*s, id, pos});
+                gsplats.push_back({*s, pos});
             }
         }
 
@@ -443,7 +568,7 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
                      const ViewScratch::GroupSplat &b) {
                       if (a.splat.depth != b.splat.depth)
                           return a.splat.depth < b.splat.depth;
-                      return a.id < b.id;
+                      return a.pos < b.pos;
                   });
 
         // Stage IV: alpha-based boundary identification + blending.
@@ -494,9 +619,10 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
             // The shared Cmode pass evaluated SH once per Gaussian;
             // a Gaussian spanning several sub-views reuses it instead
             // of re-deriving the identical color per invocation.
-            const Vec3 color = cache != nullptr
-                                   ? gs.splat.color
-                                   : shColorFor(cloud[gs.id], cam);
+            const Vec3 color =
+                cache != nullptr
+                    ? gs.splat.color
+                    : shColorFor(*cand.gaussians[gs.splat.id], cam);
 
             // Blends are tallied in a register-resident local and
             // flushed once per splat: the counters live behind
@@ -780,205 +906,77 @@ GaussianWiseRenderer::renderViewReference(
 }
 
 Image
-GaussianWiseRenderer::render(const GaussianCloud &cloud, const Camera &cam,
+GaussianWiseRenderer::render(const CloudView &view, const Camera &cam,
                              GaussianWiseStats &stats,
                              ThreadPool *pool) const
 {
-    stats.total = static_cast<std::int64_t>(cloud.size());
+    stats.total = static_cast<std::int64_t>(view.size());
     Image image(cam.width(), cam.height());
+    obs::StageTimer stage_timer;
 
-    if (config_.subview_size <= 0 ||
-        (config_.subview_size >= cam.width() &&
-         config_.subview_size >= cam.height())) {
-        // ---- Full view: Stage I depth pass (vectorized world-to-
-        // view z, fanned out over the pool in deterministic chunks),
-        // then one view.  Stages II-IV stream depth groups
-        // sequentially by construction, so this pass is the only
-        // full-view stage the pool can help.
-        obs::StageTimer stage_timer;
-        struct DepthChunk
-        {
-            std::int64_t depth_culled = 0;
-            std::vector<std::uint32_t> candidates;
-            std::vector<float> depths;
-        };
-        std::vector<DepthChunk> chunks;
-        forEachChunk(
-            pool, cloud.size(), 4096,
-            [&](std::size_t c, std::size_t begin, std::size_t end) {
-                DepthChunk &out = chunks[c];
-                out.candidates.reserve(end - begin);
-                out.depths.reserve(end - begin);
-                // SIMD z pass (bit-identical per element to the
-                // scalar worldToView), then the scalar pivot filter.
-                std::vector<float> z(end - begin);
-                viewDepthsZ(cloud, cam, begin, end, z.data());
-                for (std::size_t i = begin; i < end; ++i) {
-                    const std::uint32_t id =
-                        static_cast<std::uint32_t>(i);
-                    float d = z[i - begin];
-                    if (d < config_.depth_pivot) {
-                        ++out.depth_culled;
-                        continue;
-                    }
-                    out.candidates.push_back(id);
-                    out.depths.push_back(d);
-                }
-            },
-            [&](std::size_t chunk_count) { chunks.resize(chunk_count); });
+    // ---- Stage I: depth pass and pivot cull. ----
+    const Candidates cand = cullByDepth(view, cam, pool);
+    stats.depth_culled +=
+        static_cast<std::int64_t>(view.size() - cand.size());
 
-        std::vector<std::uint32_t> candidates;
-        std::vector<float> depths;
-        for (DepthChunk &c : chunks) {
-            stats.depth_culled += c.depth_culled;
-            candidates.insert(candidates.end(), c.candidates.begin(),
-                              c.candidates.end());
-            depths.insert(depths.end(), c.depths.begin(),
-                          c.depths.end());
-        }
-        stage_timer.lap(obs::Stage::Preprocess,
-                        &stats.stage.preprocess_ms);
-        std::vector<std::uint8_t> flags(candidates.size(), 0);
-        renderView(cloud, cam, candidates, depths, nullptr, 0, 0,
-                   cam.width(), cam.height(), image, stats, flags,
-                   *ScratchLease());
-        classifyFlags(flags, stats);
-        stage_timer.lap(obs::Stage::Raster, &stats.stage.raster_ms);
-        return image;
-    }
-
-    // ---- Compatibility Mode: one shared projection pass feeds the
-    // 2D spatial binning and Stage II (the scalar path projects every
-    // Gaussian once for binning plus once per overlapping sub-view).
-    // The pass fans out over the pool in deterministic chunks. ----
-    const int sub = config_.subview_size;
+    // ---- The views.  The full view is one view over every
+    // candidate with no splat cache, so its Stage II stays lazy.
+    // Compatibility Mode is a grid of sub-views over the candidates
+    // one shared projection pass projected, shaded and binned. ----
+    const int sub_cfg = config_.subview_size;
+    const bool cmode = sub_cfg > 0 &&
+                       (sub_cfg < cam.width() || sub_cfg < cam.height());
+    const int sub =
+        cmode ? sub_cfg : std::max({cam.width(), cam.height(), 1});
     const int sx = (cam.width() + sub - 1) / sub;
     const int sy = (cam.height() + sub - 1) / sub;
-    const std::size_t num_subviews = static_cast<std::size_t>(sx) * sy;
-
-    obs::StageTimer stage_timer;
     SplatCache cache;
-    cache.index_of_id.assign(cloud.size(), SplatCache::kNone);
-    std::vector<std::vector<std::uint32_t>> bins(num_subviews);
-
-    struct BinChunk
-    {
-        std::int64_t depth_culled = 0;
-        std::vector<Splat> splats;
-        std::vector<std::vector<std::uint32_t>> bins;
-    };
-    std::vector<BinChunk> chunks;
-    forEachChunk(
-        pool, cloud.size(), 1024,
-        [&](std::size_t c, std::size_t begin, std::size_t end) {
-            BinChunk &out = chunks[c];
-            out.bins.resize(num_subviews);
-            // SIMD z pass (bit-identical per element to the scalar
-            // worldToView), then the scalar pivot filter.
-            std::vector<float> z(end - begin);
-            viewDepthsZ(cloud, cam, begin, end, z.data());
-            for (std::size_t i = begin; i < end; ++i) {
-                const std::uint32_t id = static_cast<std::uint32_t>(i);
-                float d = z[i - begin];
-                if (d < config_.depth_pivot) {
-                    ++out.depth_culled;
-                    continue;
-                }
-                auto s = projectGaussian(cloud[id], id, cam, nullptr);
-                if (!s)
-                    continue;
-                PixelRect box =
-                    aabbFromRadius(s->ellipse.center, s->radius_omega)
-                        .clipped(cam.width(), cam.height());
-                if (box.empty())
-                    continue;
-                // SH evaluated once here, shared by every sub-view
-                // the Gaussian is binned into (identical value to a
-                // per-invocation shColorFor call).
-                s->color = shColorFor(cloud[id], cam);
-                out.splats.push_back(*s);
-                for (int by = box.y0 / sub; by <= box.y1 / sub; ++by)
-                    for (int bx = box.x0 / sub; bx <= box.x1 / sub; ++bx)
-                        out.bins[static_cast<std::size_t>(by) * sx + bx]
-                            .push_back(id);
-            }
-        },
-        [&](std::size_t chunk_count) { chunks.resize(chunk_count); });
-    stage_timer.lap(obs::Stage::Preprocess, &stats.stage.preprocess_ms);
-
-    // Chunk-ordered merge: bins stay sorted by id, exactly as a
-    // serial pass would build them.
-    for (BinChunk &c : chunks) {
-        stats.depth_culled += c.depth_culled;
-        for (Splat &s : c.splats) {
-            cache.index_of_id[s.id] =
-                static_cast<std::uint32_t>(cache.splats.size());
-            cache.splats.push_back(s);
-        }
-        for (std::size_t b = 0; b < num_subviews; ++b) {
-            if (c.bins[b].empty())
-                continue;
-            bins[b].insert(bins[b].end(), c.bins[b].begin(),
-                           c.bins[b].end());
-        }
+    std::vector<std::vector<std::uint32_t>> members;
+    if (cmode) {
+        members = projectAndBin(cand, cam, sub, sx, sy, pool, cache, stats,
+                                stage_timer);
+    } else {
+        members.emplace_back(cand.size());
+        std::iota(members[0].begin(), members[0].end(), 0u);
+        stage_timer.lap(obs::Stage::Preprocess, &stats.stage.preprocess_ms);
     }
-    chunks.clear();
-    chunks.shrink_to_fit();
-    for (const auto &bin : bins)
-        stats.bin_records += static_cast<std::int64_t>(bin.size());
-    stage_timer.lap(obs::Stage::Binning, &stats.stage.binning_ms);
 
-    // ---- Render the sub-views: disjoint pixel regions, so they run
-    // concurrently; stats merge in row-major sub-view order, making
-    // the image, counters and group trace bit-identical to a serial
-    // pass regardless of scheduling. ----
-    struct SubViewOut
+    // ---- Stages II-IV per view.  Views are disjoint pixel regions,
+    // so they run concurrently (one single-element range per
+    // non-empty view: the pool's FIFO queue load-balances crowded
+    // center sub-views against empty borders, and runChunks provides
+    // the drain-before-unwind safety; a lone view runs inline). ----
+    struct ViewOut
     {
         GaussianWiseStats stats;
         std::vector<std::uint8_t> flags;
     };
-    std::vector<SubViewOut> outs(num_subviews);
-
-    auto render_subview = [&](std::size_t v) {
-        const auto &bin = bins[v];
-        const ScratchLease lease;
-        ViewScratch &scratch = *lease;
-        scratch.depths.resize(bin.size());
-        for (std::size_t i = 0; i < bin.size(); ++i)
-            scratch.depths[i] =
-                cache.splats[cache.index_of_id[bin[i]]].depth;
-        outs[v].flags.assign(bin.size(), 0);
+    std::vector<ViewOut> outs(members.size());
+    std::vector<std::pair<std::size_t, std::size_t>> jobs;
+    jobs.reserve(members.size());
+    for (std::size_t v = 0; v < members.size(); ++v)
+        if (!members[v].empty())
+            jobs.emplace_back(v, v + 1);
+    runChunks(pool, jobs, [&](std::size_t, std::size_t v, std::size_t) {
         const int x0 = static_cast<int>(v) % sx * sub;
         const int y0 = static_cast<int>(v) / sx * sub;
-        const int w = std::min(sub, cam.width() - x0);
-        const int h = std::min(sub, cam.height() - y0);
-        renderView(cloud, cam, bin, scratch.depths, &cache, x0, y0, w,
-                   h, image, outs[v].stats, outs[v].flags, scratch);
-    };
+        outs[v].flags.assign(members[v].size(), 0);
+        renderView(cand, members[v], cmode ? &cache : nullptr, cam, x0, y0,
+                   std::min(sub, cam.width() - x0),
+                   std::min(sub, cam.height() - y0), image, outs[v].stats,
+                   outs[v].flags, *ScratchLease());
+    });
 
-    // One single-element range per non-empty sub-view: the pool's
-    // FIFO queue load-balances crowded center sub-views against empty
-    // borders, and runChunks provides the drain-before-unwind safety.
-    std::vector<std::pair<std::size_t, std::size_t>> subview_jobs;
-    subview_jobs.reserve(num_subviews);
-    for (std::size_t v = 0; v < num_subviews; ++v)
-        if (!bins[v].empty())
-            subview_jobs.emplace_back(v, v + 1);
-    runChunks(pool, subview_jobs,
-              [&](std::size_t, std::size_t v, std::size_t) {
-                  render_subview(v);
-              });
-
-    // Deterministic merge + unique-population classification.
-    std::vector<std::uint8_t> flags_by_id(cloud.size(), 0);
-    for (std::size_t v = 0; v < num_subviews; ++v) {
-        if (bins[v].empty())
-            continue;
+    // ---- One view-ordered merge, then the unique-population
+    // classification: image, counters and group trace are
+    // bit-identical to a serial pass regardless of scheduling. ----
+    std::vector<std::uint8_t> flags(cand.size(), 0);
+    for (std::size_t v = 0; v < members.size(); ++v) {
         mergeWork(stats, std::move(outs[v].stats));
-        for (std::size_t i = 0; i < bins[v].size(); ++i)
-            flags_by_id[bins[v][i]] |= outs[v].flags[i];
+        for (std::size_t i = 0; i < members[v].size(); ++i)
+            flags[members[v][i]] |= outs[v].flags[i];
     }
-    classifyFlags(flags_by_id, stats);
+    classifyFlags(flags, stats);
     stage_timer.lap(obs::Stage::Raster, &stats.stage.raster_ms);
     return image;
 }

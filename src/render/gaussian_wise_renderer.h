@@ -23,19 +23,22 @@
  *
  * Two implementations of the frame are kept:
  *
- *  - render(): the fast path — one shared projection pass feeding
- *    both the Cmode spatial binning and Stage II (each Gaussian is
- *    projected once per frame instead of once for binning plus once
- *    per overlapping sub-view), each splat's block footprint
- *    evaluated once as a reach bitmap (render/boundary.h's
- *    ReachWindow) that both the conditional-loading decision and the
- *    block walk read, a statically-dispatched row-major walk of the
- *    flooded bitmap whose visitor blends whole SIMD lane groups,
- *    exponential included, into planar per-view accumulators (see
- *    render/lane_blend.h), reused per-view scratch
- *    buffers, and — because Cmode sub-views are disjoint pixel
- *    regions — optional multi-threaded sub-view rendering over a
- *    ThreadPool with a deterministic, sub-view-ordered stat merge;
+ *  - render(): the fast path, one pipeline over a CloudView — a
+ *    chunked SIMD depth pass with the pivot cull; in Cmode one
+ *    shared projection pass feeding both the spatial binning and
+ *    Stage II (each Gaussian is projected once per frame instead of
+ *    once for binning plus once per overlapping sub-view), while the
+ *    full view's Stage II projects group by group, so a group
+ *    cross-stage termination skips is never projected; then the same
+ *    Stages II-IV per view: each splat's block footprint evaluated once
+ *    as a reach bitmap (render/boundary.h's ReachWindow) that both
+ *    the conditional-loading decision and the block walk read, a
+ *    statically-dispatched row-major walk of the flooded bitmap
+ *    whose visitor blends whole SIMD lane groups, exponential
+ *    included, into planar per-view accumulators (see
+ *    render/lane_blend.h), pooled per-view scratch buffers, and —
+ *    Cmode sub-views being disjoint — optional multi-threaded
+ *    sub-view rendering with one deterministic view-ordered merge;
  *  - renderReference(): the direct scalar transcription the fast
  *    path is validated against (per-group projectGaussian calls,
  *    a blockReachable loop for conditional loading, the
@@ -62,6 +65,9 @@
 namespace gcc3d {
 
 class ThreadPool;
+namespace obs {
+class StageTimer;
+}
 
 /** Configuration of the Gaussian-wise renderer. */
 struct GaussianWiseConfig
@@ -131,13 +137,15 @@ std::vector<DepthGroup> groupByDepth(const std::vector<float> &depths,
 /**
  * GCC-dataflow functional renderer.
  *
- * Thread safety: render() keeps all per-frame state on the stack and
- * only reads config_ and its const arguments, so one renderer (or
- * one per thread) may render concurrently, including from a shared
- * const GaussianCloud.  A ThreadPool passed to render() is only used
- * to fan out the shared projection pass and (in Cmode) independent
- * sub-views; it may be shared between renderers and never changes
- * the result.
+ * render() reads a CloudView, so a LOD cut renders from its resident
+ * spans uncopied (a GaussianCloud converts implicitly).
+ *
+ * Thread safety: render() only reads config_ and its const
+ * arguments, and leases its view scratches from a mutex-guarded
+ * process-wide pool, so one renderer (or one per thread) may render
+ * concurrently, including from shared Gaussians.  A ThreadPool passed
+ * to render() only fans out the depth pass, the Cmode projection
+ * pass and sub-views; it may be shared and never changes the result.
  */
 class GaussianWiseRenderer
 {
@@ -151,8 +159,8 @@ class GaussianWiseRenderer
      * Render a frame (optimized path), filling @p stats with the
      * dataflow counters.
      *
-     * @param pool  optional worker pool: parallelizes the shared
-     *              depth/projection pass and, in Compatibility Mode,
+     * @param pool  optional worker pool: parallelizes the depth pass
+     *              and, in Compatibility Mode, the projection pass and
      *              the independent sub-views.  Full-view rendering
      *              itself is inherently sequential (depth groups
      *              stream near-to-far through shared transmittance
@@ -160,7 +168,7 @@ class GaussianWiseRenderer
      *              Cmode.  Null renders serially; the image and stats
      *              are bit-identical either way.
      */
-    Image render(const GaussianCloud &cloud, const Camera &cam,
+    Image render(const CloudView &view, const Camera &cam,
                  GaussianWiseStats &stats,
                  ThreadPool *pool = nullptr) const;
 
@@ -185,24 +193,33 @@ class GaussianWiseRenderer
     static std::size_t peakScratchLeases();
 
   private:
-    struct ViewScratch;
+    struct Candidates;
     struct SplatCache;
+    struct ViewScratch;
     class ScratchPool;
     class ScratchLease;
 
+    /** Stage I: the depth pass and pivot cull over @p view. */
+    Candidates cullByDepth(const CloudView &view, const Camera &cam,
+                           ThreadPool *pool) const;
+
+    /** Cmode: project and shade the candidates once into @p cache
+     *  and return their positions binned into the sub-views. */
+    static std::vector<std::vector<std::uint32_t>>
+    projectAndBin(const Candidates &cand, const Camera &cam, int sub,
+                  int sx, int sy, ThreadPool *pool, SplatCache &cache,
+                  GaussianWiseStats &stats, obs::StageTimer &stage_timer);
+
     /**
-     * Render one (sub-)view over pivot-culled candidates (optimized
-     * hot path).  @p depths is parallel to @p candidates; @p cache is
-     * non-null in Cmode (pre-projected splats, all candidates valid).
-     * Per-candidate milestone flags are written to @p flags for the
-     * frame-level unique-population merge.
+     * Stages II-IV of one (sub-)view over the candidates at positions
+     * @p members (ascending); @p cache is the Cmode splat cache or
+     * null.  Per-member milestone flags are written to @p flags.
      */
-    void renderView(const GaussianCloud &cloud, const Camera &cam,
-                    const std::vector<std::uint32_t> &candidates,
-                    const std::vector<float> &depths,
-                    const SplatCache *cache, int view_x0, int view_y0,
-                    int view_w, int view_h, Image &image,
-                    GaussianWiseStats &stats,
+    void renderView(const Candidates &cand,
+                    const std::vector<std::uint32_t> &members,
+                    const SplatCache *cache, const Camera &cam,
+                    int view_x0, int view_y0, int view_w, int view_h,
+                    Image &image, GaussianWiseStats &stats,
                     std::vector<std::uint8_t> &flags,
                     ViewScratch &scratch) const;
 

@@ -6,8 +6,8 @@
 namespace gcc3d {
 
 void
-viewDepthsZ(const GaussianCloud &cloud, const Camera &cam,
-            std::size_t begin, std::size_t end, float *out)
+viewDepthsZ(const Gaussian *const *gaussians, std::size_t n,
+            const Camera &cam, float *out)
 {
     const Mat4 &m = cam.viewMatrix();
     // z row of transformPoint: ((m20*x + m21*y) + m22*z) + m23*1 —
@@ -16,11 +16,11 @@ viewDepthsZ(const GaussianCloud &cloud, const Camera &cam,
     const simd::FloatV m20(m(2, 0)), m21(m(2, 1)), m22(m(2, 2));
     const simd::FloatV m23(m(2, 3));
 
-    std::size_t i = begin;
+    std::size_t i = 0;
     float mx[simd::kWidth], my[simd::kWidth], mz[simd::kWidth];
-    for (; i + simd::kWidth <= end; i += simd::kWidth) {
+    for (; i + simd::kWidth <= n; i += simd::kWidth) {
         for (int l = 0; l < simd::kWidth; ++l) {
-            const Vec3 &p = cloud[i + l].mean;
+            const Vec3 &p = gaussians[i + l]->mean;
             mx[l] = p.x;
             my[l] = p.y;
             mz[l] = p.z;
@@ -28,10 +28,10 @@ viewDepthsZ(const GaussianCloud &cloud, const Camera &cam,
         simd::FloatV z = m20 * simd::FloatV::load(mx) +
                          m21 * simd::FloatV::load(my) +
                          m22 * simd::FloatV::load(mz) + m23;
-        z.store(out + (i - begin));
+        z.store(out + i);
     }
-    for (; i < end; ++i)
-        out[i - begin] = cam.worldToView(cloud[i].mean).z;
+    for (; i < n; ++i)
+        out[i] = cam.worldToView(gaussians[i]->mean).z;
 }
 
 std::optional<Splat>

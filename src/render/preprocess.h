@@ -81,16 +81,16 @@ std::optional<Splat> projectGaussian(const Gaussian &g, std::uint32_t id,
 Vec3 shColorFor(const Gaussian &g, const Camera &cam);
 
 /**
- * Vectorized view-space depth pass: out[i - begin] =
- * cam.worldToView(cloud[i].mean).z for i in [begin, end), evaluated
+ * Vectorized view-space depth pass: out[i] =
+ * cam.worldToView(gaussians[i]->mean).z for i in [0, n), evaluated
  * kWidth Gaussians at a time through the gsmath SIMD layer.  Each
  * lane performs the identical multiply/add sequence of
  * Mat4::transformPoint's z row, so every element is bit-identical to
  * the scalar call — the Gaussian-wise renderer's depth-pivot cull
  * can consume it without disturbing its equivalence guarantees.
  */
-void viewDepthsZ(const GaussianCloud &cloud, const Camera &cam,
-                 std::size_t begin, std::size_t end, float *out);
+void viewDepthsZ(const Gaussian *const *gaussians, std::size_t n,
+                 const Camera &cam, float *out);
 
 /**
  * Standard-dataflow preprocessing: project every Gaussian in the

@@ -28,7 +28,6 @@ class GaussianCloud
     explicit GaussianCloud(std::string name) : name_(std::move(name)) {}
 
     const std::string &name() const { return name_; }
-    void setName(std::string name) { name_ = std::move(name); }
 
     std::size_t size() const { return gaussians_.size(); }
     bool empty() const { return gaussians_.empty(); }

@@ -120,8 +120,6 @@ class GscV2Writer
     /** Write the footer and patch the header. @return stream ok. */
     bool finish();
 
-    std::uint64_t totalWritten() const { return total_; }
-
   private:
     struct DirEntry;
 

@@ -89,8 +89,6 @@ class SceneRegistry
     /** Distinct trajectories built so far. */
     std::size_t trajectoryCount() const;
 
-    const std::string &cacheDir() const { return cache_dir_; }
-
   private:
     std::string cache_dir_;  ///< immutable after construction
 

@@ -119,25 +119,18 @@ Session::renderCut(const LodCutParams &cut_params, const Camera &render_cam,
                    FrameStageCost *cost) const
 {
     // LOD sessions render the camera's cut, culled against the
-    // frustum that renders: tile frames read its resident spans in
-    // place (the cut's pins keep them alive until this frame returns),
-    // Gaussian-wise frames a copy.  Resident-cloud sessions render the
+    // frustum that renders, straight from its resident spans (the
+    // cut's pins keep them alive until this frame returns); both
+    // renderers read it in place.  Resident-cloud sessions render the
     // shared cloud.  All are pure in (scene, camera).
     const bool tile = config_.renderer == SessionRenderer::Tile;
     LodCut cut;
-    GaussianCloud copied;
-    const GaussianCloud *cloud = scene_.cloud.get();
     double decode_ms = 0.0;
     if (scene_.lod) {
         obs::PerfScope decode_scope(obs::Stage::Decode, &decode_ms);
-        if (tile) {
-            cut = scene_.lod->cut(render_cam, cut_params);
-        } else {
-            copied = scene_.lod->buildCut(render_cam, cut_params);
-            cloud = &copied;
-        }
+        cut = scene_.lod->cut(render_cam, cut_params);
     }
-    const CloudView view = scene_.lod && tile ? cut.view : CloudView(*cloud);
+    const CloudView view = scene_.lod ? cut.view : CloudView(*scene_.cloud);
     // A temporal frame is checksummed where its cache holds it.
     double checksum = 0.0;
     StageTimes stage;
@@ -151,7 +144,7 @@ Session::renderCut(const LodCutParams &cut_params, const Camera &render_cam,
         stage = stats.stage;
     } else {
         GaussianWiseStats stats;
-        checksum = imageChecksum(gw_.render(*cloud, render_cam, stats));
+        checksum = imageChecksum(gw_.render(view, render_cam, stats));
         stage = stats.stage;
     }
     if (cost != nullptr) {

@@ -47,9 +47,6 @@ class Sram
     void read(std::uint64_t bytes) { read_bytes_ += bytes; }
     void write(std::uint64_t bytes) { write_bytes_ += bytes; }
 
-    std::uint64_t readBytes() const { return read_bytes_; }
-    std::uint64_t writeBytes() const { return write_bytes_; }
-
     /** Dynamic access energy in millijoule (32B access granularity). */
     double energyMj() const;
 

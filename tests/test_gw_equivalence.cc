@@ -6,7 +6,8 @@
  * sub-views) must reproduce the retained scalar renderReference
  * bit-for-bit — identical images and identical GaussianWiseStats
  * including the per-group activity trace — across view modes,
- * conditional settings and worker counts.  Mirrors
+ * conditional settings and worker counts, reading the cloud whole or
+ * as a CloudView of ragged spans.  Mirrors
  * tests/test_renderer_equivalence.cc for the standard dataflow, whose
  * tile-rasterization fan-out is locked in here as well.
  */
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -149,6 +151,29 @@ TEST_P(GwEquivalence, ThreadedMatchesSerialBitExactly)
         EXPECT_TRUE(imagesBitIdentical(serial, pooled))
             << "workers " << workers;
         expectStatsIdentical(st_serial, st_pooled);
+    }
+}
+
+TEST_P(GwEquivalence, SplitCloudViewMatchesReferenceBitExactly)
+{
+    // The fast path reads its Gaussians through a CloudView; a view of
+    // ragged spans (as a LOD cut is) renders what the whole cloud does.
+    GaussianCloud cloud = makeCloud();
+    Camera cam = makeCam();
+    GaussianWiseRenderer renderer(makeConfig());
+
+    GaussianWiseStats st_ref;
+    Image ref = renderer.renderReference(cloud, cam, st_ref);
+    for (int workers : {0, 1, 2, 8}) {
+        SCOPED_TRACE(::testing::Message() << "workers " << workers);
+        std::unique_ptr<ThreadPool> pool;
+        if (workers > 0)
+            pool = std::make_unique<ThreadPool>(workers);
+        GaussianWiseStats st_view;
+        Image view = renderer.render(test::splitView(cloud, 11 + workers),
+                                     cam, st_view, pool.get());
+        EXPECT_TRUE(imagesBitIdentical(ref, view));
+        expectStatsIdentical(st_ref, st_view);
     }
 }
 

@@ -317,9 +317,9 @@ TEST(LodScene, RepeatedCutLargerThanBudgetKeepsItsCachedLeaves)
 
 TEST(LodScene, SpanCutRendersLikeTheCopiedCut)
 {
-    // The tile renderer reads a cut's resident spans in place; the
-    // copied cut is the same Gaussians in the same order, so images,
-    // stats and temporal counters agree bit for bit.  The budget holds
+    // Both renderers read a cut's resident spans in place; the copied
+    // cut is the same Gaussians in the same order, so images, stats
+    // and temporal counters agree bit for bit.  The budget holds
     // a few chunks, so pinned leaves get evicted mid-frame; the pins
     // never count against the budget, and dropping them leaves the
     // resident bytes where the cut left them.
@@ -410,6 +410,48 @@ TEST(LodScene, SpanCutRendersLikeTheCopiedCut)
                   copy_cache.counters().incremental_frames);
         EXPECT_EQ(span_cache.counters().tiles_rastered,
                   copy_cache.counters().tiles_rastered);
+
+        // The Gaussian-wise renderer reads the cut in place too, full
+        // view and 64 px Cmode.
+        for (int subview : {0, 64}) {
+            SCOPED_TRACE(::testing::Message() << "gw subview " << subview);
+            GaussianWiseConfig gw_cfg;
+            gw_cfg.subview_size = subview;
+            const GaussianWiseRenderer gw(gw_cfg);
+            GaussianWiseStats span_gw, copy_gw;
+            Image span_gw_image;
+            {
+                const std::int64_t gw_copied_before = copied_bytes.value();
+                const LodCut cut = span_lod.cut(cam, params);
+                span_gw_image = gw.render(cut.view, cam, span_gw);
+                EXPECT_EQ(copied_bytes.value(), gw_copied_before);
+            }
+            const Image copy_gw_image = gw.render(copied, cam, copy_gw);
+            EXPECT_TRUE(test::imagesBitIdentical(span_gw_image, copy_gw_image));
+            EXPECT_EQ(span_gw.total, copy_gw.total);
+            EXPECT_EQ(span_gw.depth_culled, copy_gw.depth_culled);
+            EXPECT_EQ(span_gw.projected, copy_gw.projected);
+            EXPECT_EQ(span_gw.survived_cull, copy_gw.survived_cull);
+            EXPECT_EQ(span_gw.sh_evaluated, copy_gw.sh_evaluated);
+            EXPECT_EQ(span_gw.rendered_gaussians,
+                      copy_gw.rendered_gaussians);
+            EXPECT_EQ(span_gw.skipped_by_termination,
+                      copy_gw.skipped_by_termination);
+            EXPECT_EQ(span_gw.groups, copy_gw.groups);
+            EXPECT_EQ(span_gw.groups_processed, copy_gw.groups_processed);
+            EXPECT_EQ(span_gw.stage2_invocations,
+                      copy_gw.stage2_invocations);
+            EXPECT_EQ(span_gw.bin_records, copy_gw.bin_records);
+            EXPECT_EQ(span_gw.alpha_evals, copy_gw.alpha_evals);
+            EXPECT_EQ(span_gw.blend_ops, copy_gw.blend_ops);
+            EXPECT_EQ(span_gw.visited_blocks, copy_gw.visited_blocks);
+            EXPECT_EQ(span_gw.group_trace.size(),
+                      copy_gw.group_trace.size());
+            EXPECT_GT(span_gw.blend_ops, 0);
+            if (subview > 0) {
+                EXPECT_GT(span_gw.bin_records, 0);
+            }
+        }
     }
     EXPECT_GT(span_lod.residencyStats().evictions, 0u);
     std::filesystem::remove(path);
@@ -1233,8 +1275,10 @@ TEST(LodScene, ConcurrentFaultyCutsAgreeAndHonourTheBudget)
 
 TEST(LodServe, CityFleetPeakResidentStaysWithinBudget)
 {
-    // A streamed city file served to two concurrent sessions under a
-    // budget that binds (chunks are evicted): peak stays within it.
+    // A streamed city file served to two concurrent sessions, one
+    // tile and one Gaussian-wise, under a budget that binds (chunks
+    // are evicted): peak stays within it, and both renderers read
+    // their cuts in place, so no Gaussian is copied.
     const std::size_t kSplats = 20000;
     const std::size_t budget = std::size_t{2} << 20;
     const SceneSpec city = citySpec(kSplats);
@@ -1247,15 +1291,21 @@ TEST(LodServe, CityFleetPeakResidentStaysWithinBudget)
     spec.scenes = {city};
     spec.lod_path = path;
     spec.lod_budget_bytes = budget;
+    spec.renderers = {SessionRenderer::Tile, SessionRenderer::GaussianWise};
     SceneRegistry registry;
     // Hold the shared LodScene so its counters outlive the fleet.
     SceneHandle handle = registry.acquireLod(path, budget, city, spec.frames);
     std::vector<Session> fleet = buildFleet(spec, registry);
+    ASSERT_EQ(fleet[1].config().renderer, SessionRenderer::GaussianWise);
+    obs::Counter &copied_bytes =
+        obs::MetricsRegistry::global().counter("lod.cut.copied_bytes");
+    const std::int64_t copied_before = copied_bytes.value();
     ThreadPool pool(2);
     FrameScheduler scheduler;
     ServeReport report = scheduler.run(fleet, pool);
 
     EXPECT_EQ(report.framesRendered(), 2 * 2);
+    EXPECT_EQ(copied_bytes.value(), copied_before);
     const ResidencyManager::Stats rs = handle.lod->residencyStats();
     EXPECT_GT(rs.evictions, 0u);
     EXPECT_LE(rs.peak_resident_bytes, budget);

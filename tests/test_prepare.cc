@@ -33,6 +33,8 @@
 namespace gcc3d {
 namespace {
 
+using test::splitView;
+
 /** A cutoff above 1/255: splats at or below it still project, so the
  *  rows' no-headroom branch is reachable. */
 constexpr float kRaisedCutoff = 0.02f;
@@ -77,22 +79,6 @@ degenerateCloud(std::uint64_t seed, std::size_t n, const Vec3 &eye)
         cloud.add(g);
     }
     return cloud;
-}
-
-/** @p cloud as a view of spans of seeded random length (1..2 kWidth+1). */
-CloudView
-splitView(const GaussianCloud &cloud, std::uint64_t seed)
-{
-    std::mt19937_64 rng(seed);
-    std::uniform_int_distribution<std::size_t> len(1, 2 * simd::kWidth + 1);
-    CloudView view;
-    const std::span<const Gaussian> all(cloud.gaussians());
-    for (std::size_t i = 0; i < all.size();) {
-        const std::size_t k = std::min(len(rng), all.size() - i);
-        view.append(all.subspan(i, k));
-        i += k;
-    }
-    return view;
 }
 
 template <typename T>

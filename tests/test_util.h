@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
+#include <span>
 
+#include "gsmath/simd.h"
 #include "render/image.h"
 #include "scene/scene_generator.h"
 #include "scene/scene_presets.h"
@@ -93,6 +96,22 @@ clampedScene(const SceneSpec &spec)
     cloud.add(makeGaussian(Vec3(0.0f, 0.1f, -0.6f), 0.3f, 0.995f));
     cloud.add(makeGaussian(Vec3(0.3f, -0.1f, -0.7f), 0.3f, 1.0f));
     return cloud;
+}
+
+/** @p cloud as a view of spans of seeded random length (1..2 kWidth+1). */
+inline CloudView
+splitView(const GaussianCloud &cloud, std::uint64_t seed)
+{
+    std::mt19937_64 rng(seed);
+    std::uniform_int_distribution<std::size_t> len(1, 2 * simd::kWidth + 1);
+    CloudView view;
+    const std::span<const Gaussian> all(cloud.gaussians());
+    for (std::size_t i = 0; i < all.size();) {
+        const std::size_t k = std::min(len(rng), all.size() - i);
+        view.append(all.subspan(i, k));
+        i += k;
+    }
+    return view;
 }
 
 /** Bitwise image comparison: float-exact, reporting the first diff. */
