@@ -123,6 +123,18 @@ struct SplatSoA
 
     std::size_t size() const { return blend.size(); }
 
+    /** Heap bytes the store holds (capacities, not sizes). */
+    std::size_t
+    bytes() const
+    {
+        return blend.capacity() * sizeof(Blend) +
+               depth_key.capacity() * sizeof(std::uint32_t) +
+               range.capacity() * sizeof(TileRange) +
+               obb.capacity() * sizeof(ObbParams) +
+               id.capacity() * sizeof(std::uint32_t) +
+               depth.capacity() * sizeof(float);
+    }
+
     std::vector<Blend> blend;            ///< blend-phase records
     std::vector<std::uint32_t> depth_key; ///< monotone float->uint keys
     std::vector<TileRange> range;        ///< binning tile ranges

@@ -46,7 +46,10 @@
  * happens-before between consecutive frames — the FrameScheduler's
  * one-frame-in-flight-per-session invariant provides exactly that;
  * concurrent renderTemporal() calls on one cache are not allowed.
- * Distinct caches are fully independent.
+ * Distinct caches are fully independent.  The frame state lives from
+ * a stream's first frame to its end: whoever ends the stream calls
+ * releaseFrameState(), which frees every retained buffer and keeps
+ * the counters, so a report can still read them afterwards.
  */
 
 #ifndef GCC3D_RENDER_TEMPORAL_CACHE_H
@@ -120,13 +123,16 @@ struct TemporalCounters
 
     /** Splats whose blend record changed vs the previous frame. */
     std::int64_t splats_changed = 0;
+
+    bool operator==(const TemporalCounters &) const = default;
 };
 
 /**
  * All persistent state of one temporally-coherent frame stream.
  * TileRenderer::renderTemporal() owns the invariants of the private
- * state; callers only configure options, read counters and reset()
- * between independent replays.
+ * state; callers only configure options, read counters, release the
+ * frame state when a stream ends and reset() between independent
+ * replays.
  */
 class TemporalCache
 {
@@ -145,27 +151,56 @@ class TemporalCache
     const std::vector<float> &depth() const { return depth_; }
 
     /**
-     * Drop all cross-frame state and counters.  The next frame
-     * renders cold; exact-mode output is unaffected by when (or
-     * whether) this is called — that is the cache-state-independence
-     * guarantee the equivalence tests pin down.
+     * Free all cross-frame state, keeping the counters: the end of a
+     * stream.  The next frame renders cold; exact-mode output is
+     * unaffected by when (or whether) this is called — that is the
+     * cache-state-independence guarantee the equivalence tests pin
+     * down.  Invalidates the reference renderTemporal() returned.
      */
     void
-    reset()
+    releaseFrameState()
     {
         valid_ = false;
         exact_valid_ = false;
-        counters_ = TemporalCounters{};
-        soa_ = SplatSoA{};
-        cov_offsets_.clear();
-        cov_tiles_.clear();
-        tile_entries_.clear();
-        image_ = Image{};
-        depth_.clear();
         depth_valid_ = false;
         warp_phase_ = 0;
         warp_cached_ = false;
+        soa_ = SplatSoA{};
+        cov_offsets_ = decltype(cov_offsets_)();
+        cov_tiles_ = decltype(cov_tiles_)();
+        tile_entries_ = decltype(tile_entries_)();
+        image_ = Image{};
+        depth_ = decltype(depth_)();
         warp_image_ = Image{};
+    }
+
+    /** releaseFrameState() plus zeroed counters: a fresh replay. */
+    void
+    reset()
+    {
+        releaseFrameState();
+        counters_ = TemporalCounters{};
+    }
+
+    /**
+     * Heap bytes releaseFrameState() frees (capacities): the SoA
+     * store, the coverage CSR, the per-tile lists and the retained,
+     * depth and warp frames.
+     */
+    std::size_t
+    retainedBytes() const
+    {
+        std::size_t bytes =
+            soa_.bytes() +
+            (cov_offsets_.capacity() + cov_tiles_.capacity()) *
+                sizeof(std::uint32_t) +
+            tile_entries_.capacity() * sizeof(tile_entries_[0]) +
+            (image_.pixels().capacity() + warp_image_.pixels().capacity()) *
+                sizeof(Vec3) +
+            depth_.capacity() * sizeof(float);
+        for (const std::vector<std::uint64_t> &list : tile_entries_)
+            bytes += list.capacity() * sizeof(std::uint64_t);
+        return bytes;
     }
 
   private:

@@ -144,6 +144,7 @@ renderSerial(const std::vector<Session> &sessions)
             sum += s.renderFrame(f);
             ++rendered;
         }
+        s.releaseFrameState();
         base.checksums.push_back(sum);
     }
     base.wall_ms = msBetween(start, obs::tickNow());

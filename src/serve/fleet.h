@@ -120,6 +120,7 @@ struct SerialBaseline
  * Render every session's frames in order, one session after another,
  * on the calling thread — the no-scheduler baseline.  The per-session
  * checksums are the ground truth any scheduled run must reproduce.
+ * Each session's temporal frame state is released after its replay.
  */
 SerialBaseline renderSerial(const std::vector<Session> &sessions);
 

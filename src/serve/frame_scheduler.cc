@@ -151,6 +151,8 @@ FrameScheduler::run(const std::vector<Session> &sessions, ThreadPool &pool)
         obs::MetricsRegistry::global().counter("serve.disconnects");
     obs::Histogram &latency_hist =
         obs::MetricsRegistry::global().histogram("serve.latency_ms");
+    obs::Counter &released_counter = obs::MetricsRegistry::global().counter(
+        "serve.temporal.released_bytes");
     std::vector<double> depth_samples;  // mutex_-guarded (workers)
     std::int64_t sheds = 0;             // mutex_-guarded (workers)
 
@@ -244,7 +246,7 @@ FrameScheduler::run(const std::vector<Session> &sessions, ThreadPool &pool)
                    &adm, &tokens, &last_refill_ms, &total_renders,
                    &active_sessions, &admission_counter, &fairness_counter,
                    &degrade_drop_counter, &degrade_served_counter,
-                   &degrade_transition_counter] {
+                   &degrade_transition_counter, &released_counter] {
         bool done = false;
         while (!done) {
             UniqueLock lock(mutex_);
@@ -286,6 +288,7 @@ FrameScheduler::run(const std::vector<Session> &sessions, ThreadPool &pool)
                 continue;  // done: fall out of the outer loop
 
             const int frame = picked->next_frame;
+            const bool last_frame = frame + 1 == picked->effective_frames;
             const double release = picked->releaseMs(frame);
             const double deadline = picked->deadlineMs(frame);
             const double admissible = picked->admissibleMs();
@@ -384,6 +387,11 @@ FrameScheduler::run(const std::vector<Session> &sessions, ThreadPool &pool)
                 picked->next_frame++;
                 picked->ready_ms = dispatch;
                 picked->ready_seq = seq++;
+                // A shed that exhausts the stream (its last frame, or
+                // the last before a disconnect) frees its frame state.
+                if (picked->exhausted())
+                    released_counter.add(static_cast<std::int64_t>(
+                        picked->session->releaseFrameState()));
                 ++sheds;
                 shed_counter.add();
                 switch (shed) {
@@ -439,6 +447,12 @@ FrameScheduler::run(const std::vector<Session> &sessions, ThreadPool &pool)
             // lock-wait time is never billed as render time and can't
             // flip an on-time frame into a recorded miss.
             const double complete = now_ms();
+            // The stream's last frame: free its frame state before the
+            // mutex, unbilled (this session has no other frame in
+            // flight).
+            if (last_frame)
+                released_counter.add(static_cast<std::int64_t>(
+                    picked->session->releaseFrameState()));
 
             lock.lock();
             rec.rendered = rendered;
@@ -495,9 +509,15 @@ FrameScheduler::run(const std::vector<Session> &sessions, ThreadPool &pool)
     report.wall_ms = now_ms();
     report.queue_depth = aggregate(std::move(depth_samples));
     report.sheds = sheds;
-    for (const SessionState &s : states)
+    double retained_bytes = 0.0;
+    for (const SessionState &s : states) {
         if (!s.exhausted())
             report.drained = true;
+        retained_bytes += static_cast<double>(s.session->retainedBytes());
+    }
+    obs::MetricsRegistry::global()
+        .gauge("serve.temporal.retained_bytes")
+        .set(retained_bytes);
     report.sessions.reserve(states.size());
     for (std::size_t i = 0; i < states.size(); ++i)
         report.sessions.push_back(summarizeSession(

@@ -164,7 +164,11 @@ class FrameScheduler
      * Serve every frame of every session to completion (or until
      * requestStop()), blocking the caller.  Worker loops run as pool
      * tasks, so the pool may be shared — but must not be saturated
-     * with tasks that wait on this scheduler.
+     * with tasks that wait on this scheduler.  A session's temporal
+     * frame state is released when its stream ends; the freed bytes
+     * add to the serve.temporal.released_bytes counter, and the
+     * serve.temporal.retained_bytes gauge reads what the fleet still
+     * holds when run() returns.
      */
     ServeReport run(const std::vector<Session> &sessions,
                     ThreadPool &pool);

@@ -180,15 +180,21 @@ struct FrameRecord
 /**
  * A live session: config + shared scene handle + renderer instances.
  *
- * Thread safety: renderFrame() is const and keeps all frame state on
- * the stack (both renderers document the same), so any worker may
- * render any session's frame; the scheduler still serves each
- * session's frames in order, one in flight, as a client consuming a
- * stream would.  A temporal session additionally carries mutable
- * cross-frame cache state: the in-order, one-in-flight invariant
- * (whose mutex hand-off provides the happens-before between
+ * Thread safety: renderFrame() is const, and its frame scratch is
+ * private to the call: a tile frame keeps it on the stack, and a
+ * Gaussian-wise frame leases its view scratch from a process-wide
+ * pool.  So any worker may render any session's frame.  The scheduler
+ * still serves each session's frames in order, one in flight, as a
+ * client consuming a stream would.  A temporal session additionally
+ * carries a mutable TemporalCache: the in-order, one-in-flight
+ * invariant (whose mutex hand-off provides the happens-before between
  * consecutive frames) is then a requirement, not just a fidelity
  * choice — exactly what FrameScheduler and renderSerial() guarantee.
+ *
+ * Lifetime: the cache's frame state lives from the stream's first
+ * frame to its end (last frame served, shed or cut by a disconnect),
+ * when FrameScheduler and renderSerial() call releaseFrameState().
+ * Its counters outlive it, for the report.
  */
 class Session
 {
@@ -268,6 +274,28 @@ class Session
     {
         if (temporal_)
             temporal_->reset();
+    }
+
+    /**
+     * End of the stream: free the temporal cache's frame state and
+     * keep its counters (no-op without a cache).  Returns the bytes
+     * freed.  Same threading rule as renderFrame(): never while a
+     * frame of this session is in flight.
+     */
+    std::size_t
+    releaseFrameState() const
+    {
+        const std::size_t bytes = retainedBytes();
+        if (temporal_)
+            temporal_->releaseFrameState();
+        return bytes;
+    }
+
+    /** Heap bytes of cross-frame state held now (0 without a cache). */
+    std::size_t
+    retainedBytes() const
+    {
+        return temporal_ ? temporal_->retainedBytes() : 0;
     }
 
   private:

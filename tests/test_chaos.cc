@@ -357,8 +357,9 @@ TEST(FrameScheduler, DisconnectsTruncateSessionsCleanly)
 {
     SceneRegistry registry;
     const int kFrames = 4;
-    std::vector<Session> fleet =
-        buildFleet(chaosFleet(4, kFrames), registry);
+    FleetSpec spec = chaosFleet(4, kFrames);
+    spec.temporal = 1;
+    std::vector<Session> fleet = buildFleet(spec, registry);
 
     ChaosConfig cfg;
     cfg.seed = 37;
@@ -375,8 +376,14 @@ TEST(FrameScheduler, DisconnectsTruncateSessionsCleanly)
     EXPECT_FALSE(report.drained);
     EXPECT_EQ(report.disconnects(), 4);
     EXPECT_LT(report.framesRendered(), 4 * kFrames);
-    for (const SessionStats &s : report.sessions) {
+    EXPECT_GT(report.framesRendered(), 0);
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+        const SessionStats &s = report.sessions[i];
         EXPECT_TRUE(s.disconnected);
+        // The stream ended at the frame before the disconnect: its
+        // temporal frame state is freed, its counters kept.
+        EXPECT_EQ(fleet[i].retainedBytes(), 0u) << "session " << i;
+        EXPECT_EQ(s.temporal_counters.frames, s.frames_rendered);
         EXPECT_EQ(s.frames_total, kFrames);
         EXPECT_GE(s.frames_unserved, 1);
         EXPECT_LE(s.frames_unserved, kFrames);

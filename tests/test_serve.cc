@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics_registry.h"
 #include "obs/obs_config.h"
 #include "serve/fleet.h"
 #include "serve/frame_scheduler.h"
@@ -229,6 +230,66 @@ TEST(FrameScheduler, PacedEdfMatchesSerialChecksums)
     for (std::size_t i = 0; i < fleet.size(); ++i)
         EXPECT_EQ(report.sessions[i].checksum, base.checksums[i])
             << "session " << i;
+}
+
+// ---- Temporal frame state ends with the stream ----
+
+TEST(FrameScheduler, ReleasesEachSessionsFrameStateAtStreamEnd)
+{
+    // Best-effort tile sessions, each with a temporal cache that also
+    // keeps the warp source (degrade sets keep_exact).
+    FleetSpec spec = tinyFleet(4, 4);
+    spec.renderers = {SessionRenderer::Tile};
+    spec.temporal = 1;
+    spec.degrade = true;
+    SceneRegistry registry;
+    std::vector<Session> fleet = buildFleet(spec, registry);
+
+    // A replay that never releases: its counters are what a report
+    // must still read after the frame state is gone.
+    std::vector<TemporalCounters> unreleased;
+    for (const Session &s : fleet) {
+        ASSERT_NE(s.temporalCache(), nullptr);
+        s.resetTemporal();
+        for (int f = 0; f < s.frameCount(); ++f)
+            s.renderFrame(f);
+        EXPECT_GT(s.retainedBytes(), 0u) << "session " << s.id();
+        unreleased.push_back(s.temporalCache()->counters());
+    }
+    // renderSerial frees each stream after its replay.
+    const SerialBaseline base = renderSerial(fleet);
+    for (const Session &s : fleet)
+        EXPECT_EQ(s.retainedBytes(), 0u) << "serial, session " << s.id();
+
+    ThreadPool pool(2);
+    obs::Counter &released = obs::MetricsRegistry::global().counter(
+        "serve.temporal.released_bytes");
+    // A second run over the same fleet starts from released caches
+    // and must reproduce the first.
+    for (int run = 0; run < 2; ++run) {
+        const std::int64_t released_before = released.value();
+        FrameScheduler scheduler;
+        const ServeReport report = scheduler.run(fleet, pool);
+        ASSERT_EQ(report.sessions.size(), fleet.size());
+        for (std::size_t i = 0; i < fleet.size(); ++i) {
+            EXPECT_EQ(fleet[i].retainedBytes(), 0u)
+                << "session " << i << " run " << run;
+            EXPECT_EQ(report.sessions[i].checksum, base.checksums[i])
+                << "session " << i << " run " << run;
+            EXPECT_TRUE(report.sessions[i].temporal_counters ==
+                        unreleased[i])
+                << "session " << i << " run " << run;
+        }
+#if GCC3D_OBS_ENABLED
+        EXPECT_GT(released.value(), released_before);
+        EXPECT_EQ(obs::MetricsRegistry::global()
+                      .gauge("serve.temporal.retained_bytes")
+                      .last(),
+                  0.0);
+#else
+        (void)released_before;
+#endif
+    }
 }
 
 // ---- SLO accounting ----
