@@ -981,10 +981,14 @@ neg(const FloatV &a)
 // expExact: std::exp(float), lane for lane.
 // =====================================================================
 
-// The 8-lane form transcribes glibc's expf (>= 2.27), as glibc's
+// The vector forms transcribe glibc's expf (>= 2.27), as glibc's
 // ifunc runs it on every AVX2+FMA host: the FMA build of
-// sysdeps/ieee754/flt-32/e_expf.c.  It needs the FMA ISA, to fuse
-// where that build fuses, and glibc, whose expf it must equal.
+// sysdeps/ieee754/flt-32/e_expf.c.  They need the FMA ISA, to fuse
+// where that build fuses, and glibc, whose expf they must equal.
+// With AVX-512F all eight lanes take one 8 x double pass and the
+// table lookup is two in-register permutes; with AVX2 alone they take
+// two 4 x double halves, each with a gather.  Both forms run expf's
+// double-precision op sequence, so they return the same bits.
 #if defined(GCC3D_SIMD_AVX2) && defined(__FMA__) && defined(__GLIBC_PREREQ)
 #if __GLIBC_PREREQ(2, 27)
 #define GCC3D_SIMD_EXP_GLIBC_FMA 1
@@ -994,8 +998,9 @@ neg(const FloatV &a)
 #if defined(GCC3D_SIMD_EXP_GLIBC_FMA)
 namespace exp_detail {
 /** glibc's __exp2f_data: tab[i] = bits(2^(i/32)) - (i << 47) (as
- *  long long, the element type of the gather intrinsic). */
-alignas(32) inline constexpr long long kTab[32] = {
+ *  long long, the element type of the gather and permute
+ *  intrinsics). */
+alignas(64) inline constexpr long long kTab[32] = {
     0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
     0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
     0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
@@ -1018,6 +1023,48 @@ inline constexpr std::uint64_t kC2 = 0x3f962e42ff0c52d6;
 /** Lanes whose (bits >> 20 & 0x7ff) reaches this (|x| >= 88, inf,
  *  NaN) leave expf's main path. */
 inline constexpr int kSpecialTop = 0x42b;
+
+#if defined(__AVX512F__)
+inline constexpr const char *kForm = "avx512";
+
+inline __m512d
+pd(std::uint64_t bits)
+{
+    return _mm512_set1_pd(std::bit_cast<double>(bits));
+}
+
+/** expf's main path on eight lanes: exp(x) = 2^(k/32) * 2^(r/32).
+ *  The unmasked cvtps_pd, slli_epi64 and cvtpd_ps trip GCC 12's
+ *  -Wmaybe-uninitialized inside avx512fintrin.h; their maskz forms
+ *  with every lane set compile to the same instructions. */
+inline __m256
+expMain(__m256 x)
+{
+    constexpr __mmask8 kAll = 0xff;
+    const __m512d xd = _mm512_maskz_cvtps_pd(kAll, x);
+    const __m512d kds = _mm512_fmadd_pd(pd(kInvLn2N), xd, pd(kShift));
+    const __m512i ki = _mm512_castpd_si512(kds);
+    const __m512d kd = _mm512_sub_pd(kds, pd(kShift));
+    const __m512d r = _mm512_fmsub_pd(pd(kInvLn2N), xd, kd);
+    // kTab[ki & 31]: the permutes read index bits 0-3 and pick from
+    // kTab[0..15] and kTab[16..31]; bit 4 chooses between them.
+    const __m512i lo = _mm512_permutex2var_epi64(
+        _mm512_load_si512(kTab), ki, _mm512_load_si512(kTab + 8));
+    const __m512i hi = _mm512_permutex2var_epi64(
+        _mm512_load_si512(kTab + 16), ki, _mm512_load_si512(kTab + 24));
+    const __m512i t = _mm512_add_epi64(
+        _mm512_mask_blend_epi64(
+            _mm512_test_epi64_mask(ki, _mm512_set1_epi64(16)), lo, hi),
+        _mm512_maskz_slli_epi64(kAll, ki, 47));
+    const __m512d z = _mm512_fmadd_pd(r, pd(kC0), pd(kC1));
+    const __m512d r2 = _mm512_mul_pd(r, r);
+    const __m512d y = _mm512_fmadd_pd(
+        z, r2, _mm512_fmadd_pd(r, pd(kC2), _mm512_set1_pd(1.0)));
+    return _mm512_maskz_cvtpd_ps(kAll,
+                                 _mm512_mul_pd(y, _mm512_castsi512_pd(t)));
+}
+#else
+inline constexpr const char *kForm = "avx2";
 
 inline __m256d
 pd(std::uint64_t bits)
@@ -1044,23 +1091,40 @@ expHalf(__m128 x)
         z, r2, _mm256_fmadd_pd(r, pd(kC2), _mm256_set1_pd(1.0)));
     return _mm256_cvtpd_ps(_mm256_mul_pd(y, _mm256_castsi256_pd(t)));
 }
+
+/** expf's main path on eight lanes, as two four-lane halves. */
+inline __m256
+expMain(__m256 x)
+{
+    return _mm256_set_m128(expHalf(_mm256_extractf128_ps(x, 1)),
+                           expHalf(_mm256_castps256_ps128(x)));
+}
+#endif
 } // namespace exp_detail
+#endif
+
+/** The form expExact compiled to: "avx512" or "avx2" (a vector
+ *  form), or "per-lane" (std::exp once per lane). */
+#if defined(GCC3D_SIMD_EXP_GLIBC_FMA)
+inline constexpr const char *kExpForm = exp_detail::kForm;
+#else
+inline constexpr const char *kExpForm = "per-lane";
 #endif
 
 /**
  * std::exp on the lanes set in @p lanes, bit for bit, NaN payloads
  * included; the other lanes hold unspecified values.  With AVX2, FMA
- * and glibc it evaluates glibc's expf on all eight lanes at once (two
- * 4 x double halves) and calls std::exp only for selected lanes off
- * expf's main path (|x| >= 88, inf, NaN); every other build calls
- * std::exp once per selected lane.  The vector form is exact only
- * where the running libm is that expf; tests/test_simd.cc checks it
- * against the local std::exp over every float.
+ * and glibc it evaluates glibc's expf on all eight lanes at once (one
+ * 8 x double pass with AVX-512F, two 4 x double halves without) and
+ * calls std::exp only for selected lanes off expf's main path
+ * (|x| >= 88, inf, NaN); every other build calls std::exp once per
+ * selected lane.  The vector forms are exact only where the running
+ * libm is that expf; tests/test_simd.cc checks them against the
+ * local std::exp over every float.
  */
 inline FloatV
 expExact(const FloatV &x, unsigned lanes = (1u << kWidth) - 1)
 {
-    float in[kWidth] = {}, out[kWidth] = {};
 #if defined(GCC3D_SIMD_EXP_GLIBC_FMA)
     using namespace exp_detail;
     const __m256i top = _mm256_and_si256(
@@ -1070,12 +1134,15 @@ expExact(const FloatV &x, unsigned lanes = (1u << kWidth) - 1)
         _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(
             top, _mm256_set1_epi32(kSpecialTop - 1)))));
     FloatV r;
-    r.v = _mm256_set_m128(expHalf(_mm256_extractf128_ps(x.v, 1)),
-                          expHalf(_mm256_castps256_ps128(x.v)));
+    r.v = expMain(x.v);
     if (lanes == 0)
         return r;
+    float out[kWidth];
     r.store(out);
+#else
+    float out[kWidth] = {};
 #endif
+    float in[kWidth];
     x.store(in);
     for (; lanes != 0; lanes &= lanes - 1) {
         const int i = std::countr_zero(lanes);

@@ -162,16 +162,20 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
     // Per-subtile live-pixel counts (8x8 granularity): the VRU
     // processes one subtile per array pass in lockstep.  Per-row
     // counts let the blend loop skip rows whose every pixel already
-    // terminated.
-    scratch.sub_live.assign(static_cast<std::size_t>(sub_n) * sub_n, 0);
+    // terminated.  A subtile starts with its area clipped to the
+    // image, a row with the tile's clipped width.
+    scratch.sub_live.resize(static_cast<std::size_t>(sub_n) * sub_n);
     scratch.row_live.assign(static_cast<std::size_t>(tile), 0);
     std::vector<int> &sub_live = scratch.sub_live;
     std::vector<int> &row_live = scratch.row_live;
-    for (int y = y0; y < y1; ++y) {
-        row_live[y - y0] = x1 - x0;
-        for (int x = x0; x < x1; ++x)
-            ++sub_live[((y - y0) / kSub) * sub_n + (x - x0) / kSub];
+    const int w = x1 - x0, h = y1 - y0;
+    for (int sy = 0; sy < sub_n; ++sy) {
+        const int rows = std::clamp(h - sy * kSub, 0, kSub);
+        for (int sx = 0; sx < sub_n; ++sx)
+            sub_live[sy * sub_n + sx] =
+                rows * std::clamp(w - sx * kSub, 0, kSub);
     }
+    std::fill_n(row_live.begin(), h, w);
 
     // Counters tally in locals and flush once per tile: behind the
     // StandardFlowStats reference, a per-lane increment could alias

@@ -488,9 +488,17 @@ TEST(Simd, ExpExactComputesTheSelectedLanes)
     }
 }
 
-// Every float: ~25 s in Release.  CI's auto leg runs it with
-// --gtest_also_run_disabled_tests, so each push proves the vector
-// form against the runner's own glibc.
+TEST(Simd, ExpFormMatchesTheConfiguredBackend)
+{
+    // CMake names the exp form its SIMD flags select; the header must
+    // have compiled that form, or a misspelt #if would silently drop
+    // a vector form (or take one without its flags).
+    EXPECT_STREQ(simd::kExpForm, GCC3D_EXPECTED_EXP_FORM);
+}
+
+// Every float: ~25-55 s in Release.  CI's auto and avx2 legs run it
+// with --gtest_also_run_disabled_tests, so each push proves both
+// vector forms against the runner's own glibc.
 TEST(Simd, DISABLED_ExpExactMatchesStdExpOnEveryFloat)
 {
     EXPECT_EQ(expExactMismatches(0u, 0xffffffffu, 1), 0u);
