@@ -86,10 +86,6 @@ struct Vec3
         return n > 0.0f ? *this / n : *this;
     }
 
-    /** Component-wise product (Hadamard). */
-    constexpr Vec3 cwiseMul(const Vec3 &o) const
-    { return {x * o.x, y * o.y, z * o.z}; }
-
     /** Component-wise min against another vector. */
     constexpr Vec3 cwiseMin(const Vec3 &o) const
     {
@@ -135,9 +131,6 @@ struct Vec4
 
     /** Drop the homogeneous coordinate. */
     constexpr Vec3 xyz() const { return {x, y, z}; }
-
-    /** Perspective divide: (x/w, y/w, z/w). */
-    constexpr Vec3 homogenize() const { return {x / w, y / w, z / w}; }
 };
 
 inline constexpr Vec2 operator*(float s, const Vec2 &v) { return v * s; }

@@ -15,7 +15,8 @@
  * arithmetic.  Pacing, SLO latency accounting and shutdown timeouts
  * are *behavior*, not observability; they keep reading the sanctioned
  * clock.  What becomes a no-op: every sample/counter/histogram
- * record, so StageTimes, traces and metrics read as zero/empty.
+ * record, so FrameTag stage totals (a served frame's FrameStageCost),
+ * traces and metrics read as zero/empty.
  */
 
 #ifndef GCC3D_OBS_OBS_CONFIG_H

@@ -80,13 +80,8 @@ nextRecorderId()
     return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-/** Ambient tag of the calling thread (FrameTag RAII). */
-SampleTag &
-currentTag()
-{
-    thread_local SampleTag tag;
-    return tag;
-}
+/** Innermost live FrameTag of the calling thread; null = untagged. */
+thread_local FrameTag *t_frame_tag = nullptr;
 
 } // namespace
 
@@ -131,17 +126,20 @@ PerfRecorder::threadLog()
 void
 PerfRecorder::record(Stage stage, MonoTime start, double dur_ms)
 {
+    // A frame's stage costs are fed even with recording switched off.
+    FrameTag *tag = t_frame_tag;
+    if (tag != nullptr)
+        tag->ms_[static_cast<std::size_t>(stage)] += dur_ms;
     if (!enabled())
         return;
     ThreadLog &log = threadLog();
     PerfSample &s = log.ring[log.head];
-    const SampleTag &tag = currentTag();
     s.start_us =
         std::chrono::duration<double, std::micro>(start - epoch_).count();
     s.dur_ms = dur_ms;
-    s.session = tag.session;
-    s.frame = tag.frame;
-    s.seq = tag.seq;
+    s.session = tag != nullptr ? tag->session_ : -1;
+    s.frame = tag != nullptr ? tag->frame_ : -1;
+    s.seq = 0;
     s.thread = -1;
     s.stage = stage;
     log.head = log.head + 1 == log.ring.size() ? 0 : log.head + 1;
@@ -255,14 +253,14 @@ PerfRecorder::reset()
 }
 
 FrameTag::FrameTag(std::int32_t session, std::int32_t frame)
-    : saved_(currentTag())
+    : session_(session), frame_(frame), outer_(t_frame_tag)
 {
-    currentTag() = SampleTag{session, frame, saved_.seq};
+    t_frame_tag = this;
 }
 
 FrameTag::~FrameTag()
 {
-    currentTag() = saved_;
+    t_frame_tag = outer_;
 }
 
 #else // !GCC3D_OBS_ENABLED

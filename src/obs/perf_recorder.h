@@ -8,10 +8,7 @@
  * queue waits, sweep jobs — is recorded here through one of three
  * hooks:
  *
- *  - PerfScope    RAII span around a block; an optional sink pointer
- *                 additionally accumulates the duration into a caller
- *                 field (how StageTimes is filled from this one code
- *                 path without a second clock read).
+ *  - PerfScope    RAII span around a block.
  *  - StageTimer   lap-based chaining for the renderers' sequential
  *                 stage pipelines: lap(stage) attributes the time
  *                 since the previous lap (or construction), exactly
@@ -25,7 +22,10 @@
  * recording is lock-free after a thread's first sample and the
  * memory bound is explicit.  Samples carry (stage, start, duration,
  * session/frame tags); the tags come from the thread's ambient
- * FrameTag so renderer internals need no plumbing.
+ * FrameTag so renderer internals need no plumbing.  That FrameTag
+ * also sums each recorded duration per stage, which is how a served
+ * frame learns its stage costs (Session's FrameStageCost): one clock
+ * read per boundary feeds both the trace and the frame's totals.
  *
  * Determinism: summary() merges the per-thread rings by sorting the
  * retained samples on their value key (stage, session, frame, seq,
@@ -136,8 +136,8 @@ class PerfRecorder
     static PerfRecorder &global();
 
     /** Runtime kill switch (also the baseline of bench/contracts'
-     *  obs_overhead): when off, record()/addSample() return
-     *  immediately. */
+     *  obs_overhead): when off, record()/addSample() keep no sample.
+     *  record() still feeds the live FrameTag's stage totals. */
     void
     setEnabled(bool on)
     {
@@ -151,11 +151,12 @@ class PerfRecorder
     }
 
     /** Record a span that started at @p start and ran @p dur_ms,
-     *  tagged with the calling thread's ambient FrameTag. */
+     *  tagged with the calling thread's ambient FrameTag, and add
+     *  @p dur_ms to that tag's total for @p stage. */
     void record(Stage stage, MonoTime start, double dur_ms);
 
     /** Inject an already-measured duration with an explicit tag; the
-     *  sample is back-dated to end now. */
+     *  sample is back-dated to end now.  Feeds no FrameTag total. */
     void addSample(Stage stage, double dur_ms, SampleTag tag = {});
 
     /** Deterministic merged per-stage aggregates (see file comment
@@ -196,8 +197,10 @@ class PerfRecorder
 
 /**
  * Ambient (thread-local) session/frame tag: samples recorded on this
- * thread while a FrameTag is alive carry its ids.  Nests; restores
- * the previous tag on destruction.
+ * thread while a FrameTag is alive carry its ids, and their durations
+ * add up per stage in the tag (ms()).  Nests: only the innermost live
+ * tag tags samples and sums them; the enclosing one resumes when it
+ * ends.
  */
 class FrameTag
 {
@@ -208,27 +211,33 @@ class FrameTag
     FrameTag(const FrameTag &) = delete;
     FrameTag &operator=(const FrameTag &) = delete;
 
+    /** Total of the durations record() saw for @p stage on this
+     *  thread while this tag was the innermost one. */
+    double
+    ms(Stage stage) const
+    {
+        return ms_[static_cast<std::size_t>(stage)];
+    }
+
   private:
-    SampleTag saved_;
+    friend class PerfRecorder;
+
+    std::int32_t session_;
+    std::int32_t frame_;
+    FrameTag *outer_;  ///< the tag this one shadows, or null
+    std::array<double, kStageCount> ms_{};
 };
 
-/** RAII span: records [construction, destruction) against @p stage
- *  and, when @p sink_ms is non-null, accumulates the duration there
- *  (the StageTimes fill path). */
+/** RAII span: records [construction, destruction) against @p stage. */
 class PerfScope
 {
   public:
-    explicit PerfScope(Stage stage, double *sink_ms = nullptr)
-        : t0_(monotonicNow()), sink_(sink_ms), stage_(stage)
-    {
-    }
+    explicit PerfScope(Stage stage) : t0_(monotonicNow()), stage_(stage) {}
 
     ~PerfScope()
     {
-        const double dur = msBetween(t0_, monotonicNow());
-        if (sink_ != nullptr)
-            *sink_ += dur;
-        PerfRecorder::global().record(stage_, t0_, dur);
+        PerfRecorder::global().record(stage_, t0_,
+                                      msBetween(t0_, monotonicNow()));
     }
 
     PerfScope(const PerfScope &) = delete;
@@ -236,7 +245,6 @@ class PerfScope
 
   private:
     MonoTime t0_;
-    double *sink_;
     Stage stage_;
 };
 
@@ -250,13 +258,10 @@ class StageTimer
     StageTimer() : mark_(monotonicNow()) {}
 
     void
-    lap(Stage stage, double *sink_ms = nullptr)
+    lap(Stage stage)
     {
         const MonoTime now = monotonicNow();
-        const double dur = msBetween(mark_, now);
-        if (sink_ms != nullptr)
-            *sink_ms += dur;
-        PerfRecorder::global().record(stage, mark_, dur);
+        PerfRecorder::global().record(stage, mark_, msBetween(mark_, now));
         mark_ = now;
     }
 
@@ -290,19 +295,20 @@ class FrameTag
 {
   public:
     FrameTag(std::int32_t, std::int32_t) {}
+    double ms(Stage) const { return 0.0; }
 };
 
 class PerfScope
 {
   public:
-    explicit PerfScope(Stage, double * = nullptr) {}
+    explicit PerfScope(Stage) {}
 };
 
 class StageTimer
 {
   public:
     StageTimer() {}  // user-provided: a no-op timer is not "unused"
-    void lap(Stage, double * = nullptr) {}
+    void lap(Stage) {}
 };
 
 #endif // GCC3D_OBS_ENABLED

@@ -428,7 +428,7 @@ GaussianWiseRenderer::projectAndBin(const Candidates &cand,
             }
         },
         [&](std::size_t chunk_count) { chunks.resize(chunk_count); });
-    stage_timer.lap(obs::Stage::Preprocess, &stats.stage.preprocess_ms);
+    stage_timer.lap(obs::Stage::Preprocess);
 
     // Chunk-ordered merge: bins stay sorted by position, exactly as a
     // serial pass would build them.
@@ -448,7 +448,7 @@ GaussianWiseRenderer::projectAndBin(const Candidates &cand,
     chunks.shrink_to_fit();
     for (const auto &bin : bins)
         stats.bin_records += static_cast<std::int64_t>(bin.size());
-    stage_timer.lap(obs::Stage::Binning, &stats.stage.binning_ms);
+    stage_timer.lap(obs::Stage::Binning);
     return bins;
 }
 
@@ -938,7 +938,7 @@ GaussianWiseRenderer::render(const CloudView &view, const Camera &cam,
     } else {
         members.emplace_back(cand.size());
         std::iota(members[0].begin(), members[0].end(), 0u);
-        stage_timer.lap(obs::Stage::Preprocess, &stats.stage.preprocess_ms);
+        stage_timer.lap(obs::Stage::Preprocess);
     }
 
     // ---- Stages II-IV per view.  Views are disjoint pixel regions,
@@ -977,7 +977,7 @@ GaussianWiseRenderer::render(const CloudView &view, const Camera &cam,
             flags[members[v][i]] |= outs[v].flags[i];
     }
     classifyFlags(flags, stats);
-    stage_timer.lap(obs::Stage::Raster, &stats.stage.raster_ms);
+    stage_timer.lap(obs::Stage::Raster);
     return image;
 }
 
@@ -1004,14 +1004,13 @@ GaussianWiseRenderer::renderReference(const GaussianCloud &cloud,
             candidates.push_back(id);
             depths.push_back(d);
         }
-        stage_timer.lap(obs::Stage::Preprocess,
-                        &stats.stage.preprocess_ms);
+        stage_timer.lap(obs::Stage::Preprocess);
         std::vector<std::uint8_t> flags(candidates.size(), 0);
         renderViewReference(cloud, cam, candidates, depths, 0, 0,
                             cam.width(), cam.height(), image, stats,
                             flags);
         classifyFlags(flags, stats);
-        stage_timer.lap(obs::Stage::Raster, &stats.stage.raster_ms);
+        stage_timer.lap(obs::Stage::Raster);
         return image;
     }
 
@@ -1044,7 +1043,7 @@ GaussianWiseRenderer::renderReference(const GaussianCloud &cloud,
     }
     // Projection and binning are one interleaved loop here; attribute
     // it to preprocess (the breakdown of interest is the fast path's).
-    stage_timer.lap(obs::Stage::Preprocess, &stats.stage.preprocess_ms);
+    stage_timer.lap(obs::Stage::Preprocess);
 
     std::vector<std::uint8_t> flags_by_id(cloud.size(), 0);
     for (int by = 0; by < sy; ++by) {
@@ -1068,7 +1067,7 @@ GaussianWiseRenderer::renderReference(const GaussianCloud &cloud,
         }
     }
     classifyFlags(flags_by_id, stats);
-    stage_timer.lap(obs::Stage::Raster, &stats.stage.raster_ms);
+    stage_timer.lap(obs::Stage::Raster);
     return image;
 }
 

@@ -6,6 +6,10 @@
  * GCC: population counts per pipeline phase (Fig. 2a), duplicated
  * Gaussian loads (Fig. 2b), pixel workloads per bounding method
  * (Table 1) and computation/traffic reductions (Fig. 11).
+ *
+ * Work counts only: the renderers' wall-clock stage times go to the
+ * obs perf recorder, and a served frame's per-stage totals are read
+ * from its obs::FrameTag (see Session and FrameStageCost).
  */
 
 #ifndef GCC3D_RENDER_RENDER_STATS_H
@@ -18,27 +22,10 @@
 
 namespace gcc3d {
 
-/**
- * Wall-clock breakdown of one rendered frame by pipeline stage,
- * filled by the renderers (both fast and reference paths) so a
- * caller can see where the cycles went; Session turns it into the
- * per-frame stage costs perfbench reports.  Pure measurement — no
- * test compares these, and they accumulate across frames when one
- * stats object is reused.
- */
-struct StageTimes
-{
-    double preprocess_ms = 0.0; ///< projection / SH / depth passes
-    double binning_ms = 0.0;    ///< tile CSR build or Cmode bin merge
-    double raster_ms = 0.0;     ///< sort + alpha + blend (and merges)
-    double warp_ms = 0.0;       ///< temporal reprojection synthesis
-};
-
 /** Counters for the standard (preprocess-then-render) dataflow. */
 struct StandardFlowStats
 {
     PreprocessStats pre;            ///< projection-stage counters
-    StageTimes stage;               ///< per-stage wall clock
 
     std::int64_t kv_pairs = 0;      ///< Gaussian-tile pairs built
     std::int64_t tile_fetches = 0;  ///< splat loads summed over tiles
@@ -133,8 +120,6 @@ struct GroupActivity
  */
 struct GaussianWiseStats
 {
-    StageTimes stage;                  ///< per-stage wall clock
-
     // ---- Population counters (unique-Gaussian, each <= total). ----
     std::int64_t total = 0;            ///< Gaussians in the model
     std::int64_t depth_culled = 0;     ///< Stage I z-pivot culls

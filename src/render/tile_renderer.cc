@@ -666,17 +666,17 @@ TileRenderer::render(const CloudView &view, const Camera &cam,
     const TileGrid grid(cam, config_.tile_size);
     obs::StageTimer stage_timer;
     const SplatSoA soa = prepare(config_, view, cam, grid, stats, pool);
-    stage_timer.lap(obs::Stage::Preprocess, &stats.stage.preprocess_ms);
+    stage_timer.lap(obs::Stage::Preprocess);
 
     TileBins bins = bin(soa, cover(soa, grid), grid.num_tiles);
     stats.kv_pairs += static_cast<std::int64_t>(bins.entries.size());
-    stage_timer.lap(obs::Stage::Binning, &stats.stage.binning_ms);
+    stage_timer.lap(obs::Stage::Binning);
 
     Image image(grid.width, grid.height);
     raster(config_, soa, grid, allTiles(grid),
            [&](std::uint32_t t) { return bins.slice(t); },
            RasterMode::Cold, image, stats, pool);
-    stage_timer.lap(obs::Stage::Raster, &stats.stage.raster_ms);
+    stage_timer.lap(obs::Stage::Raster);
     return image;
 }
 
@@ -736,8 +736,7 @@ TileRenderer::renderTemporal(const CloudView &view,
                 return cache.warp_image_;
             }
             {
-                obs::PerfScope warp_scope(obs::Stage::Warp,
-                                          &stats.stage.warp_ms);
+                obs::PerfScope warp_scope(obs::Stage::Warp);
                 cache.warp_image_ = warpFromExact(cache.camera_, cache.image_,
                                                   cache.depth_, cam);
             }
@@ -758,7 +757,7 @@ TileRenderer::renderTemporal(const CloudView &view,
     obs::StageTimer stage_timer;
     SplatSoA soa = prepare(config_, view, cam, grid, stats, pool);
     const std::size_t n = soa.size();
-    stage_timer.lap(obs::Stage::Preprocess, &stats.stage.preprocess_ms);
+    stage_timer.lap(obs::Stage::Preprocess);
 
     Coverage cov = cover(soa, grid);
     stats.kv_pairs += static_cast<std::int64_t>(cov.tiles.size());
@@ -909,7 +908,7 @@ TileRenderer::renderTemporal(const CloudView &view,
         tc.tiles_reused += static_cast<std::int64_t>(num_tiles) -
                            static_cast<std::int64_t>(dirty_tiles.size());
     }
-    stage_timer.lap(obs::Stage::Binning, &stats.stage.binning_ms);
+    stage_timer.lap(obs::Stage::Binning);
 
     // ---- Raster stage, straight into the retained composited image.
     // A full rebuild rasters every tile exactly as render() does and
@@ -945,7 +944,7 @@ TileRenderer::renderTemporal(const CloudView &view,
                splat_depth, depth_buf);
         tc.tiles_rastered += static_cast<std::int64_t>(dirty_tiles.size());
     }
-    stage_timer.lap(obs::Stage::Raster, &stats.stage.raster_ms);
+    stage_timer.lap(obs::Stage::Raster);
 
     // ---- Retain this frame's state for the next one. ----
     cache.valid_ = true;
@@ -986,7 +985,7 @@ TileRenderer::renderReference(const GaussianCloud &cloud,
     // ---- Stage 1: preprocess every Gaussian (decoupled). ----
     obs::StageTimer stage_timer;
     std::vector<Splat> splats = preprocessAll(cloud, cam, stats.pre);
-    stage_timer.lap(obs::Stage::Preprocess, &stats.stage.preprocess_ms);
+    stage_timer.lap(obs::Stage::Preprocess);
 
     // ---- Tile binning: build Gaussian-tile KV pairs. ----
     std::vector<std::vector<std::uint32_t>> tile_lists(
@@ -1014,7 +1013,7 @@ TileRenderer::renderReference(const GaussianCloud &cloud,
         }
     }
 
-    stage_timer.lap(obs::Stage::Binning, &stats.stage.binning_ms);
+    stage_timer.lap(obs::Stage::Binning);
 
     // ---- Stage 2: render tile by tile in scanline order. ----
     Image image(width, height);
@@ -1125,7 +1124,7 @@ TileRenderer::renderReference(const GaussianCloud &cloud,
             }
         }
     }
-    stage_timer.lap(obs::Stage::Raster, &stats.stage.raster_ms);
+    stage_timer.lap(obs::Stage::Raster);
     return image;
 }
 

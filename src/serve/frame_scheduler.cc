@@ -435,11 +435,8 @@ FrameScheduler::run(const std::vector<Session> &sessions, ThreadPool &pool)
             bool rendered = true;
             DegradeTier served = DegradeTier::Full;
             try {
-                checksum =
-                    tier != DegradeTier::Full
-                        ? picked->session->renderFrameDegraded(
-                              frame, tier, &rec.cost, &served)
-                        : picked->session->renderFrame(frame, &rec.cost);
+                checksum = picked->session->renderFrameDegraded(
+                    frame, tier, &rec.cost, &served);
             } catch (const std::exception &) {
                 rendered = false;  // never wedge the fleet on one frame
             }

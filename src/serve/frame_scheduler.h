@@ -183,11 +183,6 @@ class FrameScheduler
      */
     void requestStop();
 
-    bool stopRequested() const
-    {
-        return stop_.load(std::memory_order_acquire);
-    }
-
   private:
     struct SessionState;
 

@@ -104,57 +104,35 @@ Session::periodMs() const
 double
 Session::renderFrame(int frame) const
 {
-    return renderFrame(frame, nullptr);
-}
-
-double
-Session::renderFrame(int frame, FrameStageCost *cost) const
-{
-    return renderFrameDegraded(frame, DegradeTier::Full, cost, nullptr);
+    return renderFrameDegraded(frame, DegradeTier::Full, nullptr, nullptr);
 }
 
 double
 Session::renderCut(const LodCutParams &cut_params, const Camera &render_cam,
-                   bool temporal, bool force_warp,
-                   FrameStageCost *cost) const
+                   bool temporal, bool force_warp) const
 {
     // LOD sessions render the camera's cut, culled against the
     // frustum that renders, straight from its resident spans (the
     // cut's pins keep them alive until this frame returns); both
     // renderers read it in place.  Resident-cloud sessions render the
     // shared cloud.  All are pure in (scene, camera).
-    const bool tile = config_.renderer == SessionRenderer::Tile;
     LodCut cut;
-    double decode_ms = 0.0;
     if (scene_.lod) {
-        obs::PerfScope decode_scope(obs::Stage::Decode, &decode_ms);
+        obs::PerfScope decode_scope(obs::Stage::Decode);
         cut = scene_.lod->cut(render_cam, cut_params);
     }
     const CloudView view = scene_.lod ? cut.view : CloudView(*scene_.cloud);
     // A temporal frame is checksummed where its cache holds it.
-    double checksum = 0.0;
-    StageTimes stage;
-    if (tile) {
+    if (config_.renderer == SessionRenderer::Tile) {
         StandardFlowStats stats;
-        checksum = temporal
-                       ? imageChecksum(tile_.renderTemporal(
-                             view, render_cam, stats, *temporal_, nullptr,
-                             force_warp))
-                       : imageChecksum(tile_.render(view, render_cam, stats));
-        stage = stats.stage;
-    } else {
-        GaussianWiseStats stats;
-        checksum = imageChecksum(gw_.render(view, render_cam, stats));
-        stage = stats.stage;
+        return temporal
+                   ? imageChecksum(tile_.renderTemporal(view, render_cam,
+                                                        stats, *temporal_,
+                                                        nullptr, force_warp))
+                   : imageChecksum(tile_.render(view, render_cam, stats));
     }
-    if (cost != nullptr) {
-        cost->pre_ms = stage.preprocess_ms;
-        cost->bin_ms = stage.binning_ms;
-        cost->raster_ms = stage.raster_ms;
-        cost->warp_ms = stage.warp_ms;
-        cost->decode_ms = decode_ms;
-    }
-    return checksum;
+    GaussianWiseStats stats;
+    return imageChecksum(gw_.render(view, render_cam, stats));
 }
 
 bool
@@ -186,7 +164,8 @@ Session::renderFrameDegraded(int frame, DegradeTier tier,
     if (tier == DegradeTier::Drop || !tierAvailable(tier))
         tier = DegradeTier::Full;
     // Recorder samples emitted below (renderer laps, LOD decode,
-    // chunk decodes) carry this session/frame in the trace.
+    // chunk decodes) carry this session/frame in the trace, and the
+    // tag sums them per stage into the frame's cost.
     obs::FrameTag tag(config_.id, frame);
     const Camera &cam =
         scene_.trajectory->frame(static_cast<std::size_t>(frame));
@@ -210,8 +189,13 @@ Session::renderFrameDegraded(int frame, DegradeTier tier,
     const TemporalCounters before =
         temporal ? temporal_->counters() : TemporalCounters{};
     const double checksum =
-        renderCut(cut_params, render_cam, temporal,
-                  tier == DegradeTier::Warp, cost);
+        renderCut(cut_params, render_cam, temporal, tier == DegradeTier::Warp);
+    if (cost != nullptr)
+        *cost = FrameStageCost{tag.ms(obs::Stage::Preprocess),
+                               tag.ms(obs::Stage::Binning),
+                               tag.ms(obs::Stage::Raster),
+                               tag.ms(obs::Stage::Warp),
+                               tag.ms(obs::Stage::Decode)};
     if (served != nullptr) {
         const bool warp_served =
             temporal &&

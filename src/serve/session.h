@@ -148,10 +148,12 @@ struct SessionConfig
 /**
  * Per-stage cost breakdown of one rendered frame, the evidence SLO
  * miss attribution (serve/slo_attribution.h) argmaxes over.  Filled
- * by Session::renderFrame from the renderer's StageTimes plus the
- * session-level LOD cut build; all zeros when the frame was dropped
- * or the observability hooks are compiled out (GCC3D_OBS=OFF), in
- * which case misses attribute to queue wait or "unknown".
+ * by Session::renderFrameDegraded from the frame's obs::FrameTag:
+ * each field is the sum of the recorder samples of that stage tagged
+ * with the frame (renderer laps, the LOD cut build).  All zeros when
+ * the frame was dropped or the observability hooks are compiled out
+ * (GCC3D_OBS=OFF), in which case misses attribute to queue wait or
+ * "unknown".
  */
 struct FrameStageCost
 {
@@ -225,14 +227,6 @@ class Session
     double renderFrame(int frame) const;
 
     /**
-     * As above, additionally reporting the frame's per-stage cost
-     * breakdown into @p cost (may be null).  Rendering runs under an
-     * obs::FrameTag, so recorder samples from inside the renderers
-     * carry this session/frame.
-     */
-    double renderFrame(int frame, FrameStageCost *cost) const;
-
-    /**
      * True iff this session can serve @p tier at all: Full always,
      * Warp needs a temporal cache (Tile, resident cloud), HalfRes
      * needs a valid degrade_render_scale, CoarseLod needs an LOD
@@ -249,7 +243,10 @@ class Session
      * reports the tier actually delivered.  Degraded tiers are
      * stateless — they never advance the temporal cache, so the
      * next Full frame is unaffected.  Deterministic in (session
-     * state, frame, tier) like renderFrame.
+     * state, frame, tier) like renderFrame.  Rendering runs under an
+     * obs::FrameTag, so recorder samples from inside the renderers
+     * carry this session/frame, and @p cost (may be null) receives
+     * the frame's per-stage totals from that tag.
      */
     double renderFrameDegraded(int frame, DegradeTier tier,
                                FrameStageCost *cost,
@@ -301,11 +298,10 @@ class Session
   private:
     /** Render @p render_cam's LOD cut under @p cut_params (or the
      *  resident cloud) at @p render_cam, through the temporal cache
-     *  when @p temporal (forwarding @p force_warp); fills @p cost (may
-     *  be null). */
+     *  when @p temporal (forwarding @p force_warp). */
     double renderCut(const LodCutParams &cut_params,
                      const Camera &render_cam, bool temporal,
-                     bool force_warp, FrameStageCost *cost) const;
+                     bool force_warp) const;
 
     SessionConfig config_;
     SceneHandle scene_;

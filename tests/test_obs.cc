@@ -1,14 +1,16 @@
 // Observability layer tests: histogram bucket edges, deterministic
-// cross-thread summary merges, ring wraparound, frame tagging, the
-// runtime kill switch, trace export shape, and SLO miss
-// classification.  The recording tests are compiled only when the
-// hooks are (GCC3D_OBS=ON); the disabled build instead locks the
-// stubs to their documented no-op behavior.
+// cross-thread summary merges, ring wraparound, frame tagging and its
+// per-stage totals, the runtime kill switch, trace export shape, SLO
+// miss classification, and served frames' stage costs.  The recording
+// tests are compiled only when the hooks are (GCC3D_OBS=ON); the
+// disabled build instead locks the stubs to their documented no-op
+// behavior.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <limits>
 #include <string>
 #include <thread>
@@ -16,8 +18,11 @@
 
 #include "obs/metrics_registry.h"
 #include "obs/perf_recorder.h"
+#include "lod/lod_builder.h"
 #include "obs/trace_export.h"
+#include "serve/scene_registry.h"
 #include "serve/slo_attribution.h"
+#include "test_util.h"
 
 namespace {
 
@@ -126,6 +131,105 @@ TEST(SloAttribution, NamedFractionCountsNonUnknownMisses)
     EXPECT_NE(json.find("\"warp\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"unknown\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"named_fraction\": 0.8"), std::string::npos);
+}
+
+// ---- Served frames' stage costs (both builds) ----
+
+/** Sum of @p samples of @p stage tagged (@p session, @p frame). */
+double
+taggedMs(const std::vector<obs::PerfSample> &samples, obs::Stage stage,
+         int session, int frame)
+{
+    double total = 0.0;
+    for (const obs::PerfSample &s : samples)
+        if (s.stage == stage && s.session == session && s.frame == frame)
+            total += s.dur_ms;
+    return total;
+}
+
+/** Every field of @p cost is the frame's recorded samples of its
+ *  stage; all zero when the hooks are compiled out. */
+void
+expectCostIsTaggedSamples(const FrameStageCost &cost, int session,
+                          int frame)
+{
+    const std::vector<obs::PerfSample> samples =
+        obs::PerfRecorder::global().samples();
+    const std::pair<obs::Stage, double> fields[] = {
+        {obs::Stage::Preprocess, cost.pre_ms},
+        {obs::Stage::Binning, cost.bin_ms},
+        {obs::Stage::Raster, cost.raster_ms},
+        {obs::Stage::Warp, cost.warp_ms},
+        {obs::Stage::Decode, cost.decode_ms},
+    };
+    for (const auto &[stage, ms] : fields) {
+        EXPECT_NEAR(ms, taggedMs(samples, stage, session, frame), 1e-9)
+            << obs::stageName(stage) << " of session " << session
+            << " frame " << frame;
+        if (!GCC3D_OBS_ENABLED) {
+            EXPECT_EQ(ms, 0.0) << obs::stageName(stage);
+        }
+    }
+}
+
+TEST(FrameStageCost, IsTheSumOfTheFramesRecordedSamples)
+{
+    obs::PerfRecorder::global().reset();
+    const SceneSpec spec = test::tinySpec();
+    SceneRegistry registry;
+    const SceneHandle resident = registry.acquire(spec, 1.0f, 3);
+
+    // A tile temporal session: an exact frame, then a warped one.
+    SessionConfig tile_cfg;
+    tile_cfg.id = 1;
+    tile_cfg.spec = spec;
+    tile_cfg.frames = 3;
+    tile_cfg.temporal = 1;
+    tile_cfg.degrade = true;  // keeps the warp source
+    const Session tile(tile_cfg, resident);
+    FrameStageCost exact, warp;
+    DegradeTier served = DegradeTier::Drop;
+    tile.renderFrameDegraded(0, DegradeTier::Full, &exact, &served);
+    ASSERT_EQ(served, DegradeTier::Full);
+    tile.renderFrameDegraded(1, DegradeTier::Warp, &warp, &served);
+    ASSERT_EQ(served, DegradeTier::Warp);
+
+    // A Gaussian-wise session over the same cloud.
+    SessionConfig gw_cfg = tile_cfg;
+    gw_cfg.id = 2;
+    gw_cfg.renderer = SessionRenderer::GaussianWise;
+    gw_cfg.temporal = 0;
+    gw_cfg.degrade = false;
+    gw_cfg.gw.subview_size = 64;
+    FrameStageCost gw;
+    Session(gw_cfg, resident).renderFrameDegraded(0, DegradeTier::Full,
+                                                  &gw, nullptr);
+
+    // An LOD session: the frame's cut build is its decode cost.
+    const std::string path = ::testing::TempDir() + "/obs-cost-lod.gsc";
+    ASSERT_TRUE(buildLodFile(generateScene(spec, 1.0f), path));
+    SessionConfig lod_cfg = gw_cfg;
+    lod_cfg.id = 3;
+    lod_cfg.renderer = SessionRenderer::Tile;
+    FrameStageCost lod;
+    Session(lod_cfg, registry.acquireLod(path, 16u << 20, spec, 3))
+        .renderFrameDegraded(0, DegradeTier::Full, &lod, nullptr);
+    std::filesystem::remove(path);
+
+    expectCostIsTaggedSamples(exact, 1, 0);
+    expectCostIsTaggedSamples(warp, 1, 1);
+    expectCostIsTaggedSamples(gw, 2, 0);
+    expectCostIsTaggedSamples(lod, 3, 0);
+    // A warped frame runs no preprocess, binning or raster.
+    EXPECT_EQ(warp.pre_ms, 0.0);
+    EXPECT_EQ(warp.bin_ms, 0.0);
+    EXPECT_EQ(warp.raster_ms, 0.0);
+    if (GCC3D_OBS_ENABLED) {
+        EXPECT_GT(exact.raster_ms, 0.0);
+        EXPECT_GT(warp.warp_ms, 0.0);
+        EXPECT_GT(gw.raster_ms, 0.0);
+        EXPECT_GT(lod.decode_ms, 0.0);
+    }
 }
 
 #if GCC3D_OBS_ENABLED
@@ -270,17 +374,31 @@ TEST(ObsPerfRecorder, RuntimeDisableDropsSamplesAndResetClears)
     EXPECT_EQ(sum.retained, 0u);
 }
 
-TEST(ObsPerfRecorder, PerfScopeFillsSinkAndRecords)
+TEST(ObsPerfRecorder, FrameTagSumsTheInnermostTagsDurationsPerStage)
 {
-    const std::uint64_t before =
-        obs::PerfRecorder::global().summary().recorded;
-    double sink = 0.0;
+    obs::PerfRecorder recorder;
+    obs::FrameTag outer(1, 1);
+    recorder.record(obs::Stage::Raster, obs::tickNow(), 1.0);
     {
-        obs::PerfScope scope(obs::Stage::SceneIo, &sink);
+        obs::FrameTag inner(2, 2);
+        recorder.record(obs::Stage::Raster, obs::tickNow(), 2.0);
+        recorder.record(obs::Stage::Warp, obs::tickNow(), 4.0);
+        // Switched off, the recorder keeps no sample but still feeds
+        // the frame's totals.
+        recorder.setEnabled(false);
+        recorder.record(obs::Stage::Raster, obs::tickNow(), 8.0);
+        recorder.setEnabled(true);
+        // An explicitly tagged sample is no frame's cost.
+        recorder.addSample(obs::Stage::Raster, 16.0);
+        EXPECT_EQ(inner.ms(obs::Stage::Raster), 10.0);
+        EXPECT_EQ(inner.ms(obs::Stage::Warp), 4.0);
+        EXPECT_EQ(inner.ms(obs::Stage::Preprocess), 0.0);
+        EXPECT_EQ(outer.ms(obs::Stage::Raster), 1.0);  // shadowed
     }
-    EXPECT_GE(sink, 0.0);
-    EXPECT_EQ(obs::PerfRecorder::global().summary().recorded,
-              before + 1);
+    recorder.record(obs::Stage::Raster, obs::tickNow(), 32.0);
+    EXPECT_EQ(outer.ms(obs::Stage::Raster), 33.0);  // resumed
+    EXPECT_EQ(outer.ms(obs::Stage::Warp), 0.0);
+    EXPECT_EQ(recorder.summary().retained, 5u);
 }
 
 TEST(ObsPerfRecorder, SummaryJsonListsNonZeroStages)
@@ -380,6 +498,8 @@ TEST(ObsDisabled, StubsAreInertAndExportsAreEmpty)
         obs::StageTimer timer;
         timer.lap(obs::Stage::Binning);
         obs::FrameTag tag(1, 2);
+        recorder.record(obs::Stage::Raster, obs::tickNow(), 1.0);
+        EXPECT_EQ(tag.ms(obs::Stage::Raster), 0.0);
     }
     EXPECT_EQ(recorder.summary().recorded, 0u);
     EXPECT_TRUE(recorder.samples().empty());

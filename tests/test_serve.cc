@@ -456,7 +456,6 @@ TEST(FrameScheduler, GracefulDrainCompletesInFlightFrames)
     });
     ServeReport report = scheduler.run(fleet, pool);
     stopper.join();
-    EXPECT_TRUE(scheduler.stopRequested());
 
     int served = 0;
     for (std::size_t i = 0; i < report.sessions.size(); ++i) {

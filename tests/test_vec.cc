@@ -63,12 +63,11 @@ TEST(Vec3, Normalized)
     EXPECT_EQ(z, Vec3(0, 0, 0));
 }
 
-TEST(Vec3, CwiseMinMaxMul)
+TEST(Vec3, CwiseMinMax)
 {
     Vec3 a(1, 5, -2), b(3, 2, -4);
     EXPECT_EQ(a.cwiseMin(b), Vec3(1, 2, -4));
     EXPECT_EQ(a.cwiseMax(b), Vec3(3, 5, -2));
-    EXPECT_EQ(a.cwiseMul(b), Vec3(3, 10, 8));
 }
 
 TEST(Vec3, Indexing)
@@ -79,10 +78,9 @@ TEST(Vec3, Indexing)
     EXPECT_FLOAT_EQ(a[2], 9);
 }
 
-TEST(Vec4, HomogenizeAndXyz)
+TEST(Vec4, Xyz)
 {
     Vec4 p(2, 4, 6, 2);
-    EXPECT_EQ(p.homogenize(), Vec3(1, 2, 3));
     EXPECT_EQ(p.xyz(), Vec3(2, 4, 6));
     EXPECT_EQ(Vec4(Vec3(1, 2, 3), 1.0f), Vec4(1, 2, 3, 1));
 }
